@@ -571,12 +571,39 @@ def _projector_sample_steps(
     return samples
 
 
+#: requests lifted per matmul for the shared sampler's initial row norms;
+#: bounds the ``(chunk, p, M)`` temporary at catalog scale
+_LIFT_CHUNK = 4
+
+
+def _lifted_row_norms(
+    diversity_factors: np.ndarray, quality: np.ndarray, coefficients: np.ndarray
+) -> np.ndarray:
+    """Initial row norms ``n_bi = q_bi² ‖(V W_b)_i‖²`` of the shared
+    sampler, ``_LIFT_CHUNK`` requests per matmul.  Everything after the
+    matmul runs in place, and the temporary is freed on return, before
+    the sampling steps allocate theirs."""
+    batch, ground = quality.shape
+    rank, steps = coefficients.shape[1:]
+    norms = np.empty((batch, ground), dtype=np.float64)
+    for start in range(0, batch, _LIFT_CHUNK):
+        stop = start + _LIFT_CHUNK
+        chunk = coefficients[start:stop]
+        size = chunk.shape[0]
+        lifted = chunk.transpose(0, 2, 1).reshape(size * steps, rank)
+        lifted = (lifted @ diversity_factors.T).reshape(size, steps, ground)
+        lifted *= lifted
+        block = lifted.sum(axis=1, out=norms[start:stop])
+        block *= quality[start:stop]
+        block *= quality[start:stop]
+    return norms
+
+
 def batched_sample_elementary_shared(
     diversity_factors: np.ndarray,
     quality: np.ndarray,
     coefficients: np.ndarray,
     rngs: Sequence[np.random.Generator],
-    gram_products: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[list[int]]:
     """Elementary-DPP samples for a batch of requests sharing one ``V``.
 
@@ -590,12 +617,6 @@ def batched_sample_elementary_shared(
     O(M) work of a step is a single ``(B, r) @ (r, M)`` matmul for the
     *whole batch* — the batching win over per-request sampling, which
     reads an ``(M, p)`` basis three times per step per request.
-
-    ``gram_products`` optionally passes the catalog's ``(M, r(r+1)/2)``
-    symmetric outer-product table (see
-    :meth:`repro.serving.ItemCatalog.gram_products`), which turns the
-    initial row norms ``n_bi = q_bi² v_iᵀ (W_b W_bᵀ) v_i`` into one
-    matmul against precomputed state.
 
     Each request consumes one uniform per step from its own generator,
     the same stream the per-request sampler uses, so seeded batch
@@ -611,23 +632,7 @@ def batched_sample_elementary_shared(
         )
     if len(rngs) != batch:
         raise ValueError(f"need {batch} generators, got {len(rngs)}")
-    squared_quality = quality**2
-    if gram_products is not None:
-        # n_bi = q_bi² · P[i] · vec(W_b W_bᵀ): one (M, tri) @ (tri, B) matmul.
-        table, (rows, cols) = gram_products
-        projector = np.einsum("brp,bsp->brs", coefficients, coefficients)
-        packed = projector[:, rows, cols]
-        packed[:, rows != cols] *= 2.0
-        norms = np.ascontiguousarray((table @ packed.T).T) * squared_quality
-    else:
-        flat = coefficients.transpose(1, 0, 2).reshape(
-            diversity_factors.shape[1], -1
-        )
-        lifted = (diversity_factors @ flat).reshape(ground, batch, steps)
-        norms = np.ascontiguousarray(
-            np.einsum("mbp,mbp->bm", lifted, lifted)
-        ) * squared_quality
-        del lifted
+    norms = _lifted_row_norms(diversity_factors, quality, coefficients)
 
     def gather_coordinates(items: np.ndarray) -> np.ndarray:
         rows = diversity_factors[items]  # (B, r)

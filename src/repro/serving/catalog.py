@@ -9,9 +9,10 @@ versions.  Each snapshot precomputes everything requests can reuse:
 * the ``r × r`` Gram ``VᵀV`` and its eigendecomposition, built lazily
   and exactly once per version;
 * the symmetric outer-product table ``P[m] = vec(v_m v_mᵀ)`` (upper
-  triangle), which turns a whole batch of dual kernels
-  ``C_u = Vᵀ Diag(q_u²) V = Σ_m q_um² v_m v_mᵀ`` into a single
-  ``(B, M) @ (M, r(r+1)/2)`` matmul — the serving engine's build path.
+  triangle), which turns a group of at least ``GRAM_PRODUCTS_MIN_BATCH``
+  dual kernels ``C_u = Vᵀ Diag(q_u²) V = Σ_m q_um² v_m v_mᵀ`` into a
+  single ``(B, M) @ (M, r(r+1)/2)`` matmul.  Smaller groups build each
+  dual directly from ``V`` and never touch the table.
 
 Hot-swap contract (the serving runtime relies on it): a snapshot is a
 plain immutable object, so a reader that captured one — via
@@ -32,6 +33,13 @@ import numpy as np
 from ..dpp.diversity_kernel import DiversityKernelLearner
 
 __all__ = ["CatalogSnapshot", "ItemCatalog", "VersionedExtensions"]
+
+#: smallest request group whose dual kernels are built from the
+#: outer-product table.  One table matmul reads all ``M r(r+1)/2``
+#: entries whatever the group size, while a direct ``(V q_b)ᵀ(V q_b)``
+#: reads only ``M r`` per request; at M=2e4, r=32 on one BLAS thread the
+#: direct route wins below four requests and ties at four.
+GRAM_PRODUCTS_MIN_BATCH = 4
 
 #: distinguishes "extension never built" from a legitimately-None build
 #: result (e.g. an IVF index declining a too-small shard)
@@ -80,7 +88,8 @@ class CatalogSnapshot(VersionedExtensions):
     #: refuse to build an outer-product table beyond this size — the
     #: table is O(M r²/2) and wide factor matrices (e.g. the identity-
     #: augmented ``shrink > 0`` form, rank r + M) would silently turn
-    #: the fast path into a terabyte allocation
+    #: the dual build into a terabyte allocation; :meth:`build_duals`
+    #: takes the direct route for them at every group size
     GRAM_PRODUCTS_MAX_BYTES = 1 << 31
 
     def __init__(self, factors: np.ndarray, version: int) -> None:
@@ -155,25 +164,30 @@ class CatalogSnapshot(VersionedExtensions):
                     self._spectrum = (np.clip(eigenvalues, 0.0, None), eigenvectors)
         return self._spectrum
 
+    def _gram_products_bytes(self) -> int:
+        return self.num_items * self._triu[0].shape[0] * 8
+
     def gram_products(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """The ``(M, r(r+1)/2)`` symmetric outer-product table (lazy).
 
         ``gram_products()[0][m]`` is the upper triangle of ``v_m v_mᵀ``,
         so a batch of dual kernels is one matmul:
         ``C_stack[b][triu] = (q_b²) @ table``.  Costs ``M r²/2 · 8``
-        bytes (≈ 42 MB at M=10k, r=32) — built on the first batched
-        request and reused for the lifetime of the version.
+        bytes (≈ 84 MB at M=20k, r=32).  :meth:`build_duals` builds it
+        on the first group of at least ``GRAM_PRODUCTS_MIN_BATCH``
+        requests and reads it only for such groups; it is reused for
+        the lifetime of the version.  Raises when the table would exceed
+        ``GRAM_PRODUCTS_MAX_BYTES``.
         """
         if self._gram_products is None:
             rows, cols = self._triu
-            table_bytes = self.num_items * rows.shape[0] * 8
+            table_bytes = self._gram_products_bytes()
             if table_bytes > self.GRAM_PRODUCTS_MAX_BYTES:
                 raise ValueError(
                     f"outer-product table would need {table_bytes / 1e9:.1f} GB "
                     f"(M={self.num_items}, rank={self.rank}); wide factor "
-                    "matrices (e.g. shrink-augmented ones) are not servable "
-                    "on the full-catalog fast path — use candidate slices or "
-                    "compact rank-r factors"
+                    "matrices (e.g. shrink-augmented ones) get no table — "
+                    "build_duals builds their duals directly"
                 )
             with self._lock:
                 if self._gram_products is None:
@@ -183,19 +197,33 @@ class CatalogSnapshot(VersionedExtensions):
         return self._gram_products, self._triu
 
     def build_duals(self, squared_quality: np.ndarray) -> np.ndarray:
-        """All dual kernels ``C_b = Vᵀ Diag(q_b²) V`` as one matmul.
+        """All dual kernels ``C_b = Vᵀ Diag(q_b²) V`` of a request group.
 
         ``squared_quality`` is the ``(B, M)`` stack of ``q_b²``; returns
-        the symmetric ``(B, r, r)`` dual-kernel stack.
+        the symmetric ``(B, r, r)`` dual-kernel stack.  A group of at
+        least ``GRAM_PRODUCTS_MIN_BATCH`` requests is one matmul against
+        :meth:`gram_products` (building the table on first use).  Smaller
+        groups, and any group whose table would exceed
+        ``GRAM_PRODUCTS_MAX_BYTES``, compute each ``(V q_b)ᵀ(V q_b)``
+        directly through one reused ``(M, r)`` buffer, without reading or
+        building the table.
         """
         squared_quality = np.asarray(squared_quality, dtype=np.float64)
-        table, (rows, cols) = self.gram_products()
-        flat = squared_quality @ table
-        duals = np.empty(
-            (squared_quality.shape[0], self.rank, self.rank), dtype=np.float64
-        )
-        duals[:, rows, cols] = flat
-        duals[:, cols, rows] = flat
+        batch = squared_quality.shape[0]
+        duals = np.empty((batch, self.rank, self.rank), dtype=np.float64)
+        if (
+            batch >= GRAM_PRODUCTS_MIN_BATCH
+            and self._gram_products_bytes() <= self.GRAM_PRODUCTS_MAX_BYTES
+        ):
+            table, (rows, cols) = self.gram_products()
+            flat = squared_quality @ table
+            duals[:, rows, cols] = flat
+            duals[:, cols, rows] = flat
+            return duals
+        scaled = np.empty_like(self._factors)
+        for b, weights in enumerate(np.sqrt(squared_quality)):
+            np.multiply(self._factors, weights[:, None], out=scaled)
+            np.matmul(scaled.T, scaled, out=duals[b])
         return duals
 
 
@@ -228,8 +256,10 @@ class ItemCatalog:
         identity augmentation raises the factor width to ``r + M``, so
         every dual becomes an ``(r+M) × (r+M)`` problem and
         :meth:`gram_products` would need O(M³) memory (it refuses, see
-        ``GRAM_PRODUCTS_MAX_BYTES``).  Shrunk factors are meant for the
-        training criterion's small row gathers, not the serving engine.
+        ``GRAM_PRODUCTS_MAX_BYTES``, and :meth:`CatalogSnapshot.build_duals`
+        falls back to one O(M²) direct build per request).  Shrunk
+        factors are meant for the training criterion's small row gathers,
+        not the serving engine.
         """
         return cls(learner.factors_normalized(normalize=normalize, shrink=shrink))
 

@@ -6,8 +6,10 @@ lists.  Per Eq. 2 a request only reweights the shared factors — its
 kernel is ``L_u = Diag(q_u) V Vᵀ Diag(q_u)`` — so the whole batch shares
 every catalog-sized computation:
 
-* all dual kernels ``C_u = Vᵀ Diag(q_u²) V`` are one ``(B, M)``-by-table
-  matmul (:meth:`ItemCatalog.build_duals`);
+* all dual kernels ``C_u = Vᵀ Diag(q_u²) V`` come from one
+  :meth:`ItemCatalog.build_duals` call — a ``(B, M)``-by-table matmul
+  for groups of four or more, a direct ``(V q_u)ᵀ(V q_u)`` per request
+  below that;
 * one stacked ``eigh`` factorizes every request's dual;
 * one :func:`~repro.dpp.esp.batched_log_esp` produces every Eq. 6
   normalizer, heterogeneous ``k`` included;
@@ -755,9 +757,12 @@ class KDPPServer:
         Constant-quality requests (``q_u = c``) are served straight from
         the catalog's version-cached spectrum — ``C_u = c² VᵀV``, so the
         cached eigenvectors apply verbatim and the eigenvalues only
-        rescale.  Everything else goes through the batched dual build
-        (one matmul against the outer-product table) and one stacked
-        ``eigh`` over the non-uniform rows.
+        rescale.  Everything else goes through one
+        :meth:`CatalogSnapshot.build_duals` call and one stacked ``eigh``
+        over the non-uniform rows; the build reads (and on first use
+        builds) the outer-product table only when at least
+        ``GRAM_PRODUCTS_MIN_BATCH`` rows are non-uniform, and computes
+        each dual directly otherwise.
         """
         batch, _ = quality.shape
         rank = snap.rank
@@ -817,11 +822,7 @@ class KDPPServer:
                     eigenvalues, dual_vectors, k, rngs
                 )
                 samples = batched_sample_elementary_shared(
-                    factors,
-                    quality,
-                    coefficients,
-                    rngs,
-                    gram_products=snap.gram_products(),
+                    factors, quality, coefficients, rngs
                 )
             else:
                 samples = batched_greedy_map_shared(factors, quality, k)
@@ -989,11 +990,7 @@ class KDPPServer:
                     eigenvalues, vectors, k, rngs
                 )
                 samples = batched_sample_elementary_shared(
-                    factors,
-                    quality,
-                    coefficients,
-                    rngs,
-                    gram_products=snap.gram_products(),
+                    factors, quality, coefficients, rngs
                 )
             else:
                 seeds, pins, quota = self._session_map_inputs(

@@ -48,6 +48,7 @@ from repro.serving import (
     StageRegistry,
     attach_logging,
 )
+from repro.serving.catalog import GRAM_PRODUCTS_MIN_BATCH
 from repro.serving.profiling import collect_footprint, nbytes_of
 from repro.utils.profiling import (
     OVERFLOW_STACK,
@@ -333,11 +334,18 @@ def test_footprint_reports_built_structures_per_generation():
     config = ServingConfig(workers=0, clock=ManualClock())
     with ServingRuntime(catalog, config=config) as rt:
         _serve(rt, [Request(quality=_quality(5, m), k=4, seed=0)])
-        built = rt.footprint().versions[rt.catalog.snapshot().version]
-        # serving built at least one derived structure (the batched
-        # path materializes the outer-product table; sequential paths
-        # the dual spectrum)
-        assert built.get("gram_products", 0) + built.get("dual_spectrum", 0) > 0
+        version = rt.catalog.snapshot().version
+        # a lone request builds its dual directly: no table
+        assert "gram_products" not in rt.footprint().versions[version]
+        group = [
+            Request(quality=_quality(10 + i, m), k=4, seed=i)
+            for i in range(GRAM_PRODUCTS_MIN_BATCH)
+        ]
+        _serve(rt, group)
+        built = rt.footprint().versions[version]
+        # a group at the table threshold materializes the outer-product
+        # table, and the footprint reports it at its exact size
+        assert built["gram_products"] == m * (r * (r + 1) // 2) * 8
 
         # publish retains the displaced generation as its own entry
         rt.publish(_factors(6, m, r))

@@ -26,13 +26,16 @@ from repro.dpp import (
 )
 from repro.dpp.kdpp import _sample_from_elementary
 from repro.models import MFRecommender
+from repro.serving import catalog as catalog_module
 from repro.serving import (
+    CatalogSnapshot,
     ItemCatalog,
     KDPPServer,
     RecommenderBridge,
     Request,
     quality_from_scores,
 )
+from repro.serving.catalog import GRAM_PRODUCTS_MIN_BATCH
 from repro.utils.topk import top_k_indices
 
 
@@ -88,8 +91,6 @@ def test_catalog_gram_and_spectrum_cached_per_version():
 
 
 def test_catalog_gram_products_refuses_wide_factors(monkeypatch):
-    from repro.serving import CatalogSnapshot
-
     catalog = ItemCatalog(_factors(2, 30, 6))
     monkeypatch.setattr(CatalogSnapshot, "GRAM_PRODUCTS_MAX_BYTES", 1024)
     with pytest.raises(ValueError, match="outer-product table"):
@@ -113,6 +114,27 @@ def test_catalog_build_duals_matches_per_user_grams():
     for b in range(quality.shape[0]):
         scaled = quality[b][:, None] * factors
         np.testing.assert_allclose(duals[b], scaled.T @ scaled, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "batch", [1, GRAM_PRODUCTS_MIN_BATCH - 1, GRAM_PRODUCTS_MIN_BATCH]
+)
+def test_catalog_build_duals_direct_and_table_routes_agree(monkeypatch, batch):
+    factors = _factors(4, 2000, 16)
+    squared_quality = _quality_batch(4, batch, 2000) ** 2
+    snap = ItemCatalog(factors).snapshot()
+    # a zero size cap forces the direct route, a unit threshold the table
+    monkeypatch.setattr(CatalogSnapshot, "GRAM_PRODUCTS_MAX_BYTES", 0)
+    direct = snap.build_duals(squared_quality)
+    monkeypatch.undo()
+    monkeypatch.setattr(catalog_module, "GRAM_PRODUCTS_MIN_BATCH", 1)
+    table = snap.build_duals(squared_quality)
+    scale = np.abs(table).max()
+    assert np.abs(direct - table).max() <= 1e-12 * scale
+    for b in range(batch):
+        assert np.array_equal(direct[b], direct[b].T)
+        scaled = np.sqrt(squared_quality[b])[:, None] * factors
+        assert np.abs(direct[b] - scaled.T @ scaled).max() <= 1e-12 * scale
 
 
 # ----------------------------------------------------------------------
@@ -195,18 +217,12 @@ def test_batched_shared_elementary_sampler_matches_reference():
         raw = rng.normal(size=(r, p))
         basis, _ = np.linalg.qr(scaled @ raw)
         coefficients[b], *_ = np.linalg.lstsq(scaled, basis, rcond=None)
-    table = ItemCatalog(factors).gram_products()
-    for use_table in (None, table):
-        rngs = [np.random.default_rng(300 + b) for b in range(batch)]
-        batched = batched_sample_elementary_shared(
-            factors, quality, coefficients, rngs, gram_products=use_table
-        )
-        for b in range(batch):
-            basis = (quality[b][:, None] * factors) @ coefficients[b]
-            reference = _sample_from_elementary(
-                basis, np.random.default_rng(300 + b)
-            )
-            assert batched[b] == reference
+    rngs = [np.random.default_rng(300 + b) for b in range(batch)]
+    batched = batched_sample_elementary_shared(factors, quality, coefficients, rngs)
+    for b in range(batch):
+        basis = (quality[b][:, None] * factors) @ coefficients[b]
+        reference = _sample_from_elementary(basis, np.random.default_rng(300 + b))
+        assert batched[b] == reference
 
 
 def test_batched_greedy_map_matches_per_request():
@@ -441,6 +457,83 @@ def test_server_uniform_quality_served_from_cached_spectrum(world):
         dpp.log_subset_probability(map_response.items),
         rtol=1e-8,
     )
+
+
+def test_small_groups_serve_the_same_slates_as_table_groups():
+    # Groups below GRAM_PRODUCTS_MIN_BATCH build their duals directly and
+    # every group lifts its sampler norms; a request must get the same
+    # slate alone, in a direct-route group and in a table-route group.
+    m, r, k = 2000, 16, 5
+    factors = _factors(40, m, r)
+    server = KDPPServer(ItemCatalog(factors))
+    quality = _quality_batch(41, GRAM_PRODUCTS_MIN_BATCH, m)
+    history, pin = [7, 300, 1200], 55
+
+    def sample(b):
+        return Request(quality=quality[b], k=k, mode="sample", seed=60 + b)
+
+    def session(b):
+        return Request(
+            quality=quality[b], k=k, mode="map", history=history,
+            pins=[pin] if b == 0 else None,
+        )
+
+    def given(shown):
+        """Factor rows of the kernel conditioned on ``shown``: zeroed
+        and deflated by an orthonormal basis of their raw rows."""
+        basis, _ = np.linalg.qr(factors[shown].T)
+        rows = quality[0][:, None] * factors
+        rows[shown] = 0.0
+        return rows - (rows @ basis) @ basis.T
+
+    dpp = KDPP.from_factors(quality[0][:, None] * factors, k)
+    cases = [
+        (sample, dpp.sample(np.random.default_rng(60)), dpp),
+        (
+            lambda b: Request(quality=quality[b], k=k, mode="map"),
+            greedy_map(LowRankKernel(quality[0][:, None] * factors), k),
+            dpp,
+        ),
+        (
+            session,
+            [pin] + greedy_map(LowRankKernel(given(history + [pin])), k - 1),
+            KDPP.from_factors(LowRankKernel(given(history)), k),
+        ),
+    ]
+    for build, expected, oracle in cases:
+        served = [
+            server.serve([build(b) for b in range(size)])[0]
+            for size in (1, GRAM_PRODUCTS_MIN_BATCH - 1, GRAM_PRODUCTS_MIN_BATCH)
+        ]
+        log_probability = oracle.log_subset_probability(expected)
+        for response in served:
+            assert response.items == list(expected)
+            assert response.log_probability == pytest.approx(
+                served[0].log_probability, abs=1e-10
+            )
+            assert response.log_probability == pytest.approx(
+                log_probability, rel=1e-9
+            )
+
+
+def test_wide_factor_batches_serve_without_the_table(monkeypatch):
+    # Past the table's size cap every group builds its duals directly,
+    # so whether a request is served never depends on its batch-mates.
+    factors = _factors(42, 300, 8)
+    quality = _quality_batch(43, 8, 300)
+    requests = [
+        Request(quality=quality[b], k=4, mode="sample", seed=80 + b)
+        for b in range(8)
+    ]
+    uncapped = KDPPServer(ItemCatalog(factors)).serve(requests)
+    monkeypatch.setattr(CatalogSnapshot, "GRAM_PRODUCTS_MAX_BYTES", 1024)
+    catalog = ItemCatalog(factors)
+    capped = KDPPServer(catalog).serve(requests)
+    assert [response.items for response in capped] == [
+        response.items for response in uncapped
+    ]
+    with pytest.raises(ValueError, match="outer-product table"):
+        catalog.gram_products()
 
 
 def test_server_k_exceeds_effective_candidates_raises_clearly(world):

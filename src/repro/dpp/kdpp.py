@@ -533,17 +533,18 @@ def _projector_sample_steps(
     rngs: Sequence[np.random.Generator],
     steps: int,
 ) -> list[list[int]]:
-    """Shared driver of the batched projector-based elementary samplers.
+    """Step loop of :func:`batched_sample_elementary_stacked`.
 
     Where the per-request sampler conditions by reflecting an explicit
-    ``(M, p)`` basis, the batched form tracks each request's subspace as
+    ``(N, p)`` basis, the batched form tracks each request's subspace as
     a tiny ``p × p`` coordinate matrix ``A`` (projector ``P = G A Gᵀ``
     for the fixed orthonormal basis ``G``): conditioning on item ``j``
     subtracts the rank-one direction ``c = A g_j / sqrt(n_j)`` from
-    ``A`` and ``(G c)²`` from the row norms.  All O(ground-size) work —
-    computing ``G c`` and updating the norms — is delegated to
-    ``apply_direction``, which the callers implement as one batched
-    matmul per step for the whole request group.
+    ``A`` and ``(G c)²`` from the row norms.  The O(N) work — computing
+    ``G c`` and updating the norms — is delegated to ``apply_direction``,
+    one batched ``einsum`` over the candidate stack per step.  Candidate
+    slices are small, so a full CDF pass per step is cheap here; the
+    full-catalog sampler inverts a two-level block CDF instead.
     """
     batch = row_norm_stack.shape[0]
     coordinate_dim = steps
@@ -571,32 +572,63 @@ def _projector_sample_steps(
     return samples
 
 
-#: requests lifted per matmul for the shared sampler's initial row norms;
-#: bounds the ``(chunk, p, M)`` temporary at catalog scale
-_LIFT_CHUNK = 4
+#: items per block of the shared sampler's two-level inverse CDF (the
+#: last block may be partial)
+_BLOCK = 128
+
+#: bytes of the shared sampler's lift buffer: the whole batch is lifted
+#: one item tile at a time, the tile sized to this budget so the lifted
+#: rows stay in cache while they are scaled and reduced to block Grams
+_LIFT_BYTES = 2 << 20
+
+#: an item whose computed residual norm is at most this fraction of its
+#: initial norm lies in the span of the picks up to rounding, and counts
+#: as zero mass
+_NOISE = 1e-10
 
 
-def _lifted_row_norms(
+def _block_grams(
     diversity_factors: np.ndarray, quality: np.ndarray, coefficients: np.ndarray
 ) -> np.ndarray:
-    """Initial row norms ``n_bi = q_bi² ‖(V W_b)_i‖²`` of the shared
-    sampler, ``_LIFT_CHUNK`` requests per matmul.  Everything after the
-    matmul runs in place, and the temporary is freed on return, before
-    the sampling steps allocate theirs."""
+    """Per-request ``p × p`` Grams ``H_bn = G_bnᵀ G_bn`` of every
+    ``_BLOCK``-item block ``n`` of ``G_b = Diag(q_b) V W_b``, as a
+    ``(B, ⌈M/_BLOCK⌉, p, p)`` array.  Each item tile is one
+    ``(B p, r) @ (r, tile)`` matmul into a buffer of at most
+    ``_LIFT_BYTES`` (one block at least)."""
     batch, ground = quality.shape
     rank, steps = coefficients.shape[1:]
-    norms = np.empty((batch, ground), dtype=np.float64)
-    for start in range(0, batch, _LIFT_CHUNK):
-        stop = start + _LIFT_CHUNK
-        chunk = coefficients[start:stop]
-        size = chunk.shape[0]
-        lifted = chunk.transpose(0, 2, 1).reshape(size * steps, rank)
-        lifted = (lifted @ diversity_factors.T).reshape(size, steps, ground)
-        lifted *= lifted
-        block = lifted.sum(axis=1, out=norms[start:stop])
-        block *= quality[start:stop]
-        block *= quality[start:stop]
-    return norms
+    blocks = -(-ground // _BLOCK)
+    grams = np.empty((batch, blocks, steps, steps))
+    tile = max(1, _LIFT_BYTES // (batch * steps * _BLOCK * 8)) * _BLOCK
+    buffer = np.empty((batch * steps, min(tile, ground)))
+    lift = coefficients.transpose(0, 2, 1).reshape(batch * steps, rank)
+    for start in range(0, ground, tile):
+        stop = min(start + tile, ground)
+        lifted = buffer[:, : stop - start]
+        np.matmul(lift, diversity_factors[start:stop].T, out=lifted)
+        lifted = lifted.reshape(batch, steps, stop - start)
+        lifted *= quality[:, None, start:stop]
+        first = start // _BLOCK
+        full, tail = divmod(stop - start, _BLOCK)
+        head = lifted[:, :, : full * _BLOCK].reshape(batch, steps, full, _BLOCK)
+        head = head.transpose(0, 2, 1, 3)
+        np.matmul(
+            head, head.transpose(0, 1, 3, 2), out=grams[:, first : first + full]
+        )
+        if tail:
+            rest = lifted[:, :, full * _BLOCK :]
+            np.matmul(rest, rest.transpose(0, 2, 1), out=grams[:, first + full])
+    return grams
+
+
+def _first_reaching(cdf: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Row-wise right-sided ``searchsorted`` of ``targets`` in the
+    nondecreasing rows of ``cdf``, clamped to the entry where the row
+    reaches its total: ``u < 1`` strictly, but ``u * total`` can round up
+    to exactly the total.  The result always has positive mass when the
+    row total is positive."""
+    found = (cdf <= targets[:, None]).sum(axis=1)
+    return np.minimum(found, (cdf < cdf[:, -1:]).sum(axis=1))
 
 
 def batched_sample_elementary_shared(
@@ -612,15 +644,27 @@ def batched_sample_elementary_shared(
     personalized kernel — where ``V`` is the shared ``(M, r)`` catalog
     factor matrix, ``quality`` is ``(B, M)`` and ``coefficients`` holds
     the ``(B, r, p)`` lift matrices ``W_b`` (columns of ``G_b`` must be
-    orthonormal, which the dual lift guarantees).  ``G_b`` is never
-    materialized: every per-step quantity factors through ``V``, so the
-    O(M) work of a step is a single ``(B, r) @ (r, M)`` matmul for the
-    *whole batch* — the batching win over per-request sampling, which
-    reads an ``(M, p)`` basis three times per step per request.
+    orthonormal, which the dual lift guarantees).
+
+    The request's subspace is tracked as a ``p × p`` projector ``A_b``
+    in the coordinates of ``G_b`` (item ``i``'s mass is ``g_iᵀ A_b g_i``
+    for its row ``g_i`` of ``G_b``), and the item axis is cut into
+    ``_BLOCK``-item blocks.  One lift per request precomputes every
+    block's Gram ``H_bn = G_bnᵀ G_bn``; after that no step touches the
+    catalog.  A step inverts a two-level CDF: every block's mass
+    ``⟨A_b, H_bn⟩`` (one batched matmul), a block by ``cumsum`` over the
+    ``⌈M/_BLOCK⌉`` blocks, then the exact masses of that block's items,
+    lifted on the fly from their factor rows.  Conditioning on the pick
+    updates ``A_b`` alone.
 
     Each request consumes one uniform per step from its own generator,
-    the same stream the per-request sampler uses, so seeded batch
-    results reproduce per-user :meth:`KDPP.sample` draws.
+    the same stream the per-request sampler uses, and inverts it over
+    the same item-ordered CDF, so seeded batch results reproduce
+    per-user :meth:`KDPP.sample` draws (up to the measure-zero CDF
+    boundaries :func:`_elementary_choice` documents).  An item whose
+    mass is rounding noise — already picked, zero quality, or in the
+    span of the picks — is never returned: a block holding only such
+    items counts as massless and the same uniform is inverted again.
     """
     quality = np.asarray(quality, dtype=np.float64)
     batch, ground = quality.shape
@@ -632,24 +676,55 @@ def batched_sample_elementary_shared(
         )
     if len(rngs) != batch:
         raise ValueError(f"need {batch} generators, got {len(rngs)}")
-    norms = _lifted_row_norms(diversity_factors, quality, coefficients)
-
-    def gather_coordinates(items: np.ndarray) -> np.ndarray:
-        rows = diversity_factors[items]  # (B, r)
-        g = np.einsum("brp,br->bp", coefficients, rows)
-        return g * quality[np.arange(batch), items][:, None]
-
-    def apply_direction(c: np.ndarray, norm_stack: np.ndarray) -> None:
-        # w_b = Diag(q_b) V (W_b c_b): one shared (B, r) @ (r, M) matmul.
-        x = np.einsum("brp,bp->br", coefficients, c)
-        w = x @ diversity_factors.T
-        w *= quality
-        w *= w
-        norm_stack -= w
-
-    return _projector_sample_steps(
-        norms, gather_coordinates, apply_direction, rngs, steps
-    )
+    grams = _block_grams(diversity_factors, quality, coefficients)
+    grams = grams.reshape(batch, grams.shape[1], steps * steps)
+    projectors = np.broadcast_to(np.eye(steps), (batch, steps, steps)).copy()
+    picks = np.empty((batch, steps), dtype=np.int64)
+    offsets = np.arange(_BLOCK)
+    for step in range(steps):
+        uniforms = np.array([rng.random() for rng in rngs])
+        masses = (grams @ projectors.reshape(batch, steps * steps, 1))[..., 0]
+        np.maximum(masses, 0.0, out=masses)
+        chosen = np.empty((batch, steps))
+        chosen_norms = np.empty(batch)
+        rows = np.arange(batch)
+        while rows.size:
+            cdf = np.cumsum(masses[rows], axis=1)
+            if np.any(cdf[:, -1] <= 0):  # pragma: no cover - degenerate basis
+                raise RuntimeError("elementary DPP sampler ran out of mass")
+            targets = uniforms[rows] * cdf[:, -1]
+            block = _first_reaching(cdf, targets)
+            mass = masses[rows, block]
+            before = np.where(block > 0, cdf[np.arange(rows.size), block - 1], 0.0)
+            fraction = np.clip((targets - before) / mass, 0.0, 1.0)
+            ids = block[:, None] * _BLOCK + offsets
+            padding = ids >= ground  # past the end of a partial tail block
+            ids[padding] = ground - 1
+            scale = quality[rows[:, None], ids]
+            scale[padding] = 0.0
+            g = diversity_factors[ids] @ coefficients[rows]
+            g *= scale[..., None]
+            norms = np.einsum("nip,nip->ni", g @ projectors[rows], g)
+            norms[norms <= _NOISE * np.einsum("nip,nip->ni", g, g)] = 0.0
+            # Picked items carry only rounding residue; zero them exactly.
+            local = picks[rows, :step] - block[:, None] * _BLOCK
+            hit = (local >= 0) & (local < _BLOCK)
+            norms[np.nonzero(hit)[0], local[hit]] = 0.0
+            block_cdf = np.cumsum(norms, axis=1)
+            live = block_cdf[:, -1] > 0
+            item = _first_reaching(block_cdf, fraction * block_cdf[:, -1])
+            done = rows[live]
+            picks[done, step] = ids[live, item[live]]
+            chosen[done] = g[live, item[live]]
+            chosen_norms[done] = norms[live, item[live]]
+            masses[rows[~live], block[~live]] = 0.0
+            rows = rows[~live]
+        if step == steps - 1:
+            break
+        c = np.einsum("bpq,bq->bp", projectors, chosen)
+        c /= np.sqrt(chosen_norms)[:, None]
+        projectors -= c[:, :, None] * c[:, None, :]
+    return picks.tolist()
 
 
 def batched_sample_elementary_stacked(

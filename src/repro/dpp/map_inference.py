@@ -142,6 +142,9 @@ def _batched_greedy_rounds(
     its latest (never-kept) argmax instead of a selected item; that row
     is permanently inactive, so its gain state no longer feeds any
     output and the extra masking is harmless.
+
+    Returns the per-request picks and each request's last-decision gain:
+    the best remaining gain of its last pick or of its ε-stop.
     """
     batch, _ = di2.shape
     rows_index = np.arange(batch)
@@ -151,6 +154,7 @@ def _batched_greedy_rounds(
     picks[:, 0] = lasts
     counts = np.ones(batch, dtype=np.int64)
     active = np.ones(batch, dtype=bool)
+    last_gains = di2[rows_index, lasts]
     for round_index in range(1, k):
         if not np.any(active):
             break
@@ -166,47 +170,31 @@ def _batched_greedy_rounds(
         di2 -= eis**2
         di2[rows_index, lasts] = -np.inf  # masked argmax: never re-pick
         lasts = np.argmax(di2, axis=1)
-        active &= di2[rows_index, lasts] >= epsilon
+        best = di2[rows_index, lasts]
+        last_gains[active] = best[active]
+        active &= best >= epsilon
         picks[active, round_index] = lasts[active]
         counts[active] += 1
-    return [picks[b, : counts[b]].tolist() for b in range(batch)]
+    return [picks[b, : counts[b]].tolist() for b in range(batch)], last_gains
 
 
-def batched_greedy_map_shared(
+#: candidates per request of the certified restricted greedy rounds in
+#: :func:`batched_greedy_map_shared`
+_MAP_CANDIDATES = 128
+
+
+def _shared_rounds(
     diversity_factors: np.ndarray,
     quality: np.ndarray,
+    gains: np.ndarray,
     k: int,
-    epsilon: float = 1e-10,
-) -> list[list[int]]:
-    """Greedy MAP for a batch of kernels sharing one factor matrix ``V``.
-
-    Request ``b``'s kernel is ``L_b = Diag(q_b) V Vᵀ Diag(q_b)`` (Eq. 2);
-    the stacked factor matrices are never materialized.  Each round's
-    only catalog-sized work is one shared ``(B, r) @ (r, M)`` matmul
-    projecting every item onto the round's new Cholesky direction
-    (``e_bi = q_bi ⟨v_i, u_b⟩``, see :func:`_batched_greedy_rounds`) —
-    the per-round catalog reads that dominate sequential serving are
-    paid once per batch instead of once per request, and the former
-    ``(B, k, M)`` correction history is fused into an O(B·k·r)
-    coefficient update.  Matches per-request
-    :func:`greedy_map` on a :class:`LowRankKernel` of the same factors,
-    with one caveat: when marginal gains are *exactly* tied (e.g.
-    perfectly uniform quality over a unit-diagonal catalog), the two
-    paths may break the tie differently — each then returns a valid
-    greedy solution, just not the same one.
-    """
-    diversity_factors = np.asarray(diversity_factors, dtype=np.float64)
-    quality = np.asarray(quality, dtype=np.float64)
-    batch, ground = quality.shape
-    if diversity_factors.shape[0] != ground:
-        raise ValueError(
-            f"factors cover {diversity_factors.shape[0]} items but quality "
-            f"has {ground}"
-        )
-    if not 1 <= k <= ground:
-        raise ValueError(f"k must be in [1, {ground}], got {k}")
-    rows_index = np.arange(batch)
-    di2 = quality**2 * (diversity_factors**2).sum(axis=1)[None, :]
+    epsilon: float,
+) -> tuple[list[list[int]], np.ndarray]:
+    """Greedy rounds over the whole catalog; ``gains`` (consumed) holds
+    the initial gains ``q_bi² ‖v_i‖²``.  Each round's catalog-sized work
+    is one shared ``(B, r) @ (r, M)`` matmul (``e_bi = q_bi ⟨v_i, u_b⟩``,
+    see :func:`_batched_greedy_rounds`)."""
+    rows_index = np.arange(quality.shape[0])
 
     def row_factor(lasts: np.ndarray) -> np.ndarray:
         return diversity_factors[lasts] * quality[rows_index, lasts][:, None]
@@ -217,8 +205,97 @@ def batched_greedy_map_shared(
         return eis
 
     return _batched_greedy_rounds(
-        di2, row_factor, project, diversity_factors.shape[1], k, epsilon
+        gains, row_factor, project, diversity_factors.shape[1], k, epsilon
     )
+
+
+def _stacked_rounds(
+    factor_stack: np.ndarray, gains: np.ndarray, k: int, epsilon: float
+) -> tuple[list[list[int]], np.ndarray]:
+    """Greedy rounds over an explicit ``(B, N, r)`` factor stack whose
+    initial gains are ``gains`` (consumed); each round is one batched
+    ``einsum`` over the stack."""
+    rows_index = np.arange(factor_stack.shape[0])
+
+    def row_factor(lasts: np.ndarray) -> np.ndarray:
+        return factor_stack[rows_index, lasts]
+
+    def project(direction: np.ndarray) -> np.ndarray:
+        return np.einsum("bnr,br->bn", factor_stack, direction)
+
+    return _batched_greedy_rounds(
+        gains, row_factor, project, factor_stack.shape[2], k, epsilon
+    )
+
+
+def batched_greedy_map_shared(
+    diversity_factors: np.ndarray,
+    quality: np.ndarray,
+    k: int,
+    epsilon: float = 1e-10,
+    *,
+    item_norms: np.ndarray | None = None,
+    on_fallback=None,
+) -> list[list[int]]:
+    """Greedy MAP for a batch of kernels sharing one factor matrix ``V``.
+
+    Request ``b``'s kernel is ``L_b = Diag(q_b) V Vᵀ Diag(q_b)`` (Eq. 2);
+    the stacked factor matrices are never materialized.  The lazy
+    evaluation of Chen, Zhang & Zhou, vectorized: an item's gain
+    ``d_i²`` only decreases, so its initial gain ``q_i² ‖v_i‖²`` bounds
+    every later one.  Each request first runs the greedy rounds over
+    its top ``_MAP_CANDIDATES`` items by initial gain (ordered by item
+    id, so argmax ties break as on the whole catalog).  With ``τ_b`` the
+    largest initial gain left out, a request whose last decision — its
+    last pick or its ε-stop — had a best gain strictly above ``τ_b`` made
+    every decision the whole-catalog rounds make (picked gains never
+    increase, so the last decision certifies the earlier ones).  Rows
+    that fail this check rerun the whole-catalog rounds, whose only
+    catalog-sized work per round is one shared ``(B, r) @ (r, M)``
+    matmul; ``on_fallback(count)`` is told how many rows did.
+
+    ``item_norms`` optionally supplies the precomputed ``‖v_i‖²``.
+    Matches per-request :func:`greedy_map` on a :class:`LowRankKernel`
+    of the same factors, with one caveat: when marginal gains are
+    *exactly* tied (e.g. perfectly uniform quality over a unit-diagonal
+    catalog), the two paths may break the tie differently — each then
+    returns a valid greedy solution, just not the same one.
+    """
+    diversity_factors = np.asarray(diversity_factors, dtype=np.float64)
+    quality = np.asarray(quality, dtype=np.float64)
+    ground = quality.shape[1]
+    if diversity_factors.shape[0] != ground:
+        raise ValueError(
+            f"factors cover {diversity_factors.shape[0]} items but quality "
+            f"has {ground}"
+        )
+    if not 1 <= k <= ground:
+        raise ValueError(f"k must be in [1, {ground}], got {k}")
+    if item_norms is None:
+        item_norms = (diversity_factors**2).sum(axis=1)
+    gains = quality**2 * item_norms[None, :]
+    width = _MAP_CANDIDATES
+    if k > width or width >= ground - 1:
+        return _shared_rounds(diversity_factors, quality, gains, k, epsilon)[0]
+    order = np.argpartition(gains, ground - width - 1, axis=1)
+    candidates = np.sort(order[:, ground - width :], axis=1)
+    bound = np.take_along_axis(gains, order[:, ground - width - 1, None], axis=1)
+    stack = diversity_factors[candidates]
+    stack *= np.take_along_axis(quality, candidates, axis=1)[:, :, None]
+    local, last_gains = _stacked_rounds(
+        stack, np.take_along_axis(gains, candidates, axis=1), k, epsilon
+    )
+    results = [candidates[b, picks].tolist() for b, picks in enumerate(local)]
+    failed = np.flatnonzero(last_gains <= bound[:, 0])
+    if failed.size:
+        if on_fallback is not None:
+            on_fallback(int(failed.size))
+        rerun, _ = _shared_rounds(
+            diversity_factors, quality[failed], gains[failed], k, epsilon
+        )
+        for b, picks in zip(failed, rerun):
+            results[b] = picks
+    return results
 
 
 def batched_greedy_map_stacked(
@@ -233,20 +310,11 @@ def batched_greedy_map_stacked(
     factor_stack = np.asarray(factor_stack, dtype=np.float64)
     if factor_stack.ndim != 3:
         raise ValueError(f"expected (B, N, r) factors, got {factor_stack.shape}")
-    batch, ground, _ = factor_stack.shape
+    ground = factor_stack.shape[1]
     if not 1 <= k <= ground:
         raise ValueError(f"k must be in [1, {ground}], got {k}")
     di2 = np.einsum("bnr,bnr->bn", factor_stack, factor_stack)
-
-    def row_factor(lasts: np.ndarray) -> np.ndarray:
-        return factor_stack[np.arange(batch), lasts]
-
-    def project(direction: np.ndarray) -> np.ndarray:
-        return np.einsum("bnr,br->bn", factor_stack, direction)
-
-    return _batched_greedy_rounds(
-        di2, row_factor, project, factor_stack.shape[2], k, epsilon
-    )
+    return _stacked_rounds(factor_stack, di2, k, epsilon)[0]
 
 
 def _batched_greedy_rounds_session(

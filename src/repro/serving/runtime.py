@@ -201,6 +201,11 @@ class ServingRuntime:
         self._publish_retry_count = self._registry.counter(
             "publish_retries_total", "transient publish failures retried"
         )
+        server.map_fallbacks = self._registry.counter(
+            "serving_map_certificate_fallbacks_total",
+            "full-catalog greedy-MAP rows rerun over the whole catalog "
+            "after their top-candidate certificate failed",
+        )
         breaker = getattr(getattr(server, "source", None), "breaker", None)
         if breaker is not None:
             transitions = self._registry.counter(

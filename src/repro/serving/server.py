@@ -13,11 +13,18 @@ every catalog-sized computation:
 * one stacked ``eigh`` factorizes every request's dual;
 * one :func:`~repro.dpp.esp.batched_log_esp` produces every Eq. 6
   normalizer, heterogeneous ``k`` included;
-* sampling and greedy MAP run vectorized across the batch
-  (:func:`~repro.dpp.kdpp.batched_sample_elementary_shared`,
-  :func:`~repro.dpp.map_inference.batched_greedy_map_shared`), with each
-  request consuming its own seeded RNG stream so a batch reproduces the
-  per-user ``KDPP.from_factors(...).sample(rng)`` loop draw for draw.
+* sampling and greedy MAP run vectorized across the batch, and neither
+  scans the catalog once per step.
+  :func:`~repro.dpp.kdpp.batched_sample_elementary_shared` lifts each
+  request once into per-block ``p × p`` Grams, then inverts a two-level
+  (block, then item) CDF per step; each request consumes its own seeded
+  RNG stream, so a batch reproduces the per-user
+  ``KDPP.from_factors(...).sample(rng)`` loop draw for draw.
+  :func:`~repro.dpp.map_inference.batched_greedy_map_shared` runs the
+  greedy rounds over each request's top-128 items by initial gain and
+  keeps them when a gain bound certifies they equal the whole-catalog
+  rounds; rows that fail rerun over the whole catalog and are counted in
+  ``serving_map_certificate_fallbacks_total`` under a runtime.
 
 Request semantics
 -----------------
@@ -122,6 +129,12 @@ REQUEST_MODES = ("sample", "map", "topk-rerank")
 #: ceiling on ``quality ** (1/alpha)`` — keeps extreme alpha values from
 #: overflowing to inf (the kernel only needs quality *ratios*)
 ALPHA_QUALITY_CLIP = 1e150
+
+
+def _item_norms(snap: CatalogSnapshot) -> np.ndarray:
+    """``‖v_i‖²`` of every item: the certified greedy MAP's gain bounds,
+    built once per catalog version (``snap.extension``)."""
+    return (snap.factors**2).sum(axis=1)
 
 
 def _as_ids(values, dtype=np.int64) -> np.ndarray | None:
@@ -508,6 +521,9 @@ class KDPPServer:
         # the micro-batcher serves batches from worker threads.
         self._seed_sequence = np.random.SeedSequence()
         self._seed_lock = threading.Lock()
+        #: counts full-catalog greedy-MAP rows whose top-candidate
+        #: certificate failed; a runtime attaches its registry's counter
+        self.map_fallbacks = None
 
     def _pin(self, snapshot: CatalogSnapshot | None) -> CatalogSnapshot:
         """The snapshot a batch serves against, captured exactly once.
@@ -825,7 +841,14 @@ class KDPPServer:
                     factors, quality, coefficients, rngs
                 )
             else:
-                samples = batched_greedy_map_shared(factors, quality, k)
+                fallbacks = self.map_fallbacks
+                samples = batched_greedy_map_shared(
+                    factors,
+                    quality,
+                    k,
+                    item_norms=snap.extension("item_norms", _item_norms),
+                    on_fallback=fallbacks.inc if fallbacks is not None else None,
+                )
         with stage_span(stages, "emit"):
             self._emit(
                 members, samples, log_normalizers, quality, None, k, responses, snap

@@ -128,8 +128,9 @@ class FunnelCache:
     ) -> np.ndarray | None:
         """The cached pool, or None on miss / fingerprint disagreement.
 
-        ``exclusions`` is the request's :func:`exclusion_token` (the
-        quality handed here already has those entries zeroed).
+        ``exclusions`` is the request's :func:`exclusion_token` /
+        :func:`session_token`; the serving funnel hands the caller's raw
+        quality here, since the token already keys what it zeroes.
         """
         key = (int(user), int(version), int(width), exclusions)
         probe = _fingerprint(quality)

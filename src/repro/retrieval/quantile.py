@@ -39,13 +39,22 @@ Degenerate geometries — a shard no wider than the funnel, or no wider
 than the sketch — gain nothing from masking; the whole batch is then
 served exactly (and counted as fallback rows), which keeps the source
 safe to use on toy catalogs.
+
+Non-finite quality follows :class:`~repro.retrieval.exact.ExactTopK`'s
+order (NaN above every number): the mask keeps items that are *not
+below* the cutoff, so NaN always survives, and every selection —
+survivors and fallbacks alike — is
+:func:`~repro.utils.topk.top_k_indices_rows`.  Survivors therefore
+stay an upper set of the exact order, exactness on success still
+holds, and a request's pool contains a NaN or ``+inf`` item exactly
+when the exact funnel's would.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..utils.topk import top_k_indices, top_k_indices_rows
+from ..utils.topk import top_k_indices_rows
 from .base import CandidateSource, shard_offsets
 
 __all__ = ["QuantileFunnel"]
@@ -146,13 +155,15 @@ class QuantileFunnel(CandidateSource):
         # Survivor mask, one shard slice at a time into one buffer, then
         # one flat scan; (request, shard) cell boundaries come from a
         # searchsorted against the flat indices (no second scan).
+        # Survivors are "not below the cutoff" rather than ">= cutoff"
+        # so NaN survives, as it would win an exact top-k (module doc).
         mask = np.empty((batch, total), dtype=bool)
         for s in range(num_shards):
             self._shard_tick(s)
             lo, hi = int(offsets[s]), int(offsets[s + 1])
-            np.greater_equal(
-                quality[:, lo:hi], cutoffs[:, s, None], out=mask[:, lo:hi]
-            )
+            cell = mask[:, lo:hi]
+            np.less(quality[:, lo:hi], cutoffs[:, s, None], out=cell)
+            np.logical_not(cell, out=cell)
         flat = np.flatnonzero(mask)
         bounds = (
             np.arange(batch, dtype=np.int64)[:, None] * total
@@ -177,12 +188,8 @@ class QuantileFunnel(CandidateSource):
         padded_ids = np.zeros((num_cells, max_count), dtype=np.int64)
         padded_ids[cell_of, slot] = ids
         padded_values[cell_of, slot] = values
-        if max_count > width:
-            keep = np.argpartition(-padded_values, width - 1, axis=1)[:, :width]
-            padded_values = np.take_along_axis(padded_values, keep, axis=1)
-            padded_ids = np.take_along_axis(padded_ids, keep, axis=1)
-        order = np.argsort(-padded_values, axis=1, kind="stable")
-        pools = np.take_along_axis(padded_ids, order, axis=1).reshape(
+        top = top_k_indices_rows(padded_values, width)
+        pools = np.take_along_axis(padded_ids, top, axis=1).reshape(
             batch, num_shards * width
         )
         fallback_rows = 0
@@ -193,6 +200,6 @@ class QuantileFunnel(CandidateSource):
                 b, s = divmod(int(cell), num_shards)
                 lo, hi = int(offsets[s]), int(offsets[s + 1])
                 pools[b, s * width : (s + 1) * width] = (
-                    top_k_indices(quality[b, lo:hi], width) + lo
+                    top_k_indices_rows(quality[b : b + 1, lo:hi], width)[0] + lo
                 )
         return pools, fallback_rows

@@ -233,20 +233,10 @@ def _quality_topk_response(request: Request, index: int, snap) -> Response:
     returned rather than an error when positive quality runs out, this
     being the shed path."""
     request.validate(snap.num_items, index)
-    sliced = request.candidates is not None
-    quality = effective_request_quality(
-        request, index, snap.num_items, check_values=not sliced
-    )
-    if sliced:
-        candidates = np.asarray(request.candidates, dtype=np.int64).reshape(-1)
-        local = quality[candidates]
-        if not np.all(np.isfinite(local)) or np.any(local < 0):
-            raise ValueError(
-                f"request {index}: quality must be finite and non-negative"
-            )
-    else:
-        candidates = None
-        local = quality
+    candidates = request.candidates
+    if candidates is not None:
+        candidates = np.asarray(candidates, dtype=np.int64)
+    local = effective_request_quality(request, index, candidates)
     items: list[int] = []
     if request.pins is not None:
         items = [int(pin) for pin in np.asarray(request.pins).reshape(-1)]

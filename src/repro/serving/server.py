@@ -119,7 +119,6 @@ __all__ = [
     "Response",
     "KDPPServer",
     "REQUEST_MODES",
-    "validate_request_mode_and_k",
     "effective_request_quality",
     "extend_pool_for_constraints",
 ]
@@ -147,6 +146,16 @@ def _as_ids(values, dtype=np.int64) -> np.ndarray | None:
     return ids.reshape(-1)
 
 
+def _isin(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``np.isin(values, ids)`` by one sort and one ``searchsorted``:
+    the same mask at a fraction of ``np.isin``'s fixed cost for the
+    pool- and session-sized id arrays served per request."""
+    ids = np.sort(ids)
+    positions = np.searchsorted(ids, values)
+    np.minimum(positions, ids.shape[0] - 1, out=positions)
+    return ids[positions] == values
+
+
 def _orthonormal_columns(rows: np.ndarray) -> np.ndarray | None:
     """Orthonormal basis (r, s) of the span of ``rows`` (h, r), rank-
     revealing: linearly dependent rows contribute no spurious basis
@@ -162,70 +171,60 @@ def _orthonormal_columns(rows: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray(u[:, keep])
 
 
-def validate_request_mode_and_k(request: "Request", index: int) -> None:
-    """Shared field checks — one source of truth for every serving
-    front end (the engine's ``_resolve`` and the sharded funnel)."""
-    if request.mode not in REQUEST_MODES:
-        raise ValueError(
-            f"request {index}: mode must be one of {REQUEST_MODES}, "
-            f"got {request.mode!r}"
-        )
-    if request.k < 1:
-        raise ValueError(f"request {index}: k must be positive, got {request.k}")
-    if request.rerank_pool is not None and request.rerank_pool < 1:
-        raise ValueError(
-            f"request {index}: rerank_pool must be positive, got "
-            f"{request.rerank_pool}"
-        )
-
-
 def effective_request_quality(
-    request: "Request", index: int, num_items: int, check_values: bool = True
+    request: "Request",
+    index: int,
+    candidates: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    check_values: bool = True,
 ) -> np.ndarray:
-    """The request's catalog-sized quality with exclusions *and* history
-    zeroed (shown items must never re-enter a pool or a slate).
+    """The request's quality over a ground set, with exclusions *and*
+    history zeroed (shown items must never re-enter a pool or a slate).
 
-    Shape and exclusion-id bounds are always enforced;
-    ``check_values=False`` defers the O(M) finiteness/negativity scan to
-    a later ``_resolve`` pass (the sharded funnel uses this so lowered
-    requests are not value-scanned twice).
+    ``candidates=None``: the ground set is the catalog and the result is
+    catalog-sized (written into ``out`` when given — the sharded funnel
+    fills its source stack rows this way).  With ``candidates`` only
+    ``quality[candidates]`` is gathered and the exclusion/history ids
+    that fall inside the slice are zeroed there: O(slice + zeroed ids),
+    never O(M).
+
+    ``check_values`` scans the *returned* entries — the whole catalog,
+    or just the slice — and raises the request-indexed "finite and
+    non-negative" error; a bad value outside a slice is never read.
+    The request must already have passed :meth:`Request.validate`,
+    which owns the shape and id-bounds checks.
     """
     quality = np.asarray(request.quality, dtype=np.float64)
-    if quality.shape != (num_items,):
-        raise ValueError(
-            f"request {index}: quality shape {quality.shape} does not "
-            f"match catalog size {num_items}"
-        )
+    shown = [
+        ids
+        for ids in (_as_ids(request.exclude), _as_ids(request.history))
+        if ids is not None
+    ]
+    zero = np.concatenate(shown) if shown else None
+    if candidates is not None:
+        quality = quality[candidates]
+        if zero is not None:
+            quality[_isin(candidates, zero)] = 0.0
+    else:
+        if out is not None:
+            np.copyto(out, quality)
+            quality = out
+        elif zero is not None:
+            quality = quality.copy()
+        if zero is not None:
+            quality[zero] = 0.0
     if check_values and (
         not np.all(np.isfinite(quality)) or np.any(quality < 0)
     ):
         raise ValueError(
             f"request {index}: quality must be finite and non-negative"
         )
-    zero = []
-    if request.exclude is not None and len(request.exclude) > 0:
-        exclude = np.asarray(request.exclude, dtype=np.int64)
-        if np.any(exclude < 0) or np.any(exclude >= num_items):
-            raise ValueError(
-                f"request {index}: exclusion ids must be in [0, {num_items})"
-            )
-        zero.append(exclude)
-    history = _as_ids(request.history)
-    if history is not None:
-        if np.any(history < 0) or np.any(history >= num_items):
-            raise ValueError(
-                f"request {index}: history ids must be in [0, {num_items})"
-            )
-        zero.append(history)
-    if zero:
-        quality = quality.copy()
-        quality[np.concatenate(zero)] = 0.0
     return quality
 
 
 def extend_pool_for_constraints(
     pool: np.ndarray,
-    quality: np.ndarray,
+    quality: np.ndarray | None,
     pins: np.ndarray | None,
     quotas: Mapping[int, int] | None,
     categories: np.ndarray | None,
@@ -239,6 +238,8 @@ def extend_pool_for_constraints(
     appended after it in deterministic order (pins in request order,
     then quota top-ups by ascending category, each descending quality).
     Explicit caller-provided ``candidates`` are never extended.
+    ``quality`` (the catalog-sized effective quality) is read only for
+    quota top-ups and may be ``None`` without quotas.
     """
     pins = _as_ids(pins)
     if pins is None and not quotas:
@@ -326,15 +327,29 @@ class Request:
 
     def validate(self, num_items: int, index: int = 0) -> None:
         """Check every structural field invariant, raising request-
-        indexed ``ValueError``s (the quality *values* are scanned
-        separately by :func:`effective_request_quality`, which knows
-        whether the request is sliced).
+        indexed ``ValueError``s: modes, ``k``, session fields, the
+        quality shape and the bounds of every id array (an explicit
+        candidate slice must also be unique ids).  The quality *values*
+        are scanned separately by :func:`effective_request_quality`,
+        which knows whether the request is sliced.
 
-        This is the one source of truth for request validation — the
-        engine's ``_resolve`` and the sharded funnel's ``_lower`` both
-        start here instead of running their own ad-hoc checks.
+        This is the one source of truth for request validation, and it
+        runs once per request: the engine's ``_resolve`` starts here,
+        and the sharded funnel's ``_lower`` runs it before funnelling
+        and hands the engine requests it has already checked.
         """
-        validate_request_mode_and_k(self, index)
+        if self.mode not in REQUEST_MODES:
+            raise ValueError(
+                f"request {index}: mode must be one of {REQUEST_MODES}, "
+                f"got {self.mode!r}"
+            )
+        if self.k < 1:
+            raise ValueError(f"request {index}: k must be positive, got {self.k}")
+        if self.rerank_pool is not None and self.rerank_pool < 1:
+            raise ValueError(
+                f"request {index}: rerank_pool must be positive, got "
+                f"{self.rerank_pool}"
+            )
         if self.deadline is not None and not np.isfinite(float(self.deadline)):
             raise ValueError(
                 f"request {index}: deadline must be a finite clock time, "
@@ -347,6 +362,7 @@ class Request:
                 f"got {self.alpha}"
             )
         history = _as_ids(self.history)
+        exclude = _as_ids(self.exclude)
         if history is not None and (
             np.any(history < 0) or np.any(history >= num_items)
         ):
@@ -370,17 +386,16 @@ class Request:
                 raise ValueError(
                     f"request {index}: {pins.shape[0]} pins exceed k={self.k}"
                 )
-            exclude = _as_ids(self.exclude)
-            if exclude is not None and np.any(np.isin(pins, exclude)):
+            if exclude is not None and np.any(_isin(pins, exclude)):
                 raise ValueError(
                     f"request {index}: pins overlap the exclusion set"
                 )
-            if history is not None and np.any(np.isin(pins, history)):
+            if history is not None and np.any(_isin(pins, history)):
                 raise ValueError(
                     f"request {index}: pins overlap the session history"
                 )
             if self.candidates is not None and not np.all(
-                np.isin(pins, np.asarray(self.candidates, dtype=np.int64))
+                _isin(pins, np.asarray(self.candidates, dtype=np.int64))
             ):
                 raise ValueError(
                     f"request {index}: pins must be members of the explicit "
@@ -418,6 +433,32 @@ class Request:
                 raise ValueError(
                     f"request {index}: quota minimums sum to {total}, "
                     f"exceeding k={self.k}"
+                )
+        if np.shape(self.quality) != (num_items,):
+            raise ValueError(
+                f"request {index}: quality shape {np.shape(self.quality)} "
+                f"does not match catalog size {num_items}"
+            )
+        if exclude is not None and (
+            np.any(exclude < 0) or np.any(exclude >= num_items)
+        ):
+            raise ValueError(
+                f"request {index}: exclusion ids must be in [0, {num_items})"
+            )
+        if self.candidates is not None:
+            if self.mode == "topk-rerank":
+                raise ValueError(
+                    f"request {index}: topk-rerank builds its own candidate "
+                    "pool; pass mode='map' to rerank an explicit slice"
+                )
+            candidates = np.asarray(self.candidates, dtype=np.int64)
+            if candidates.ndim != 1 or np.unique(candidates).size != candidates.size:
+                raise ValueError(
+                    f"request {index}: candidates must be unique item ids"
+                )
+            if np.any(candidates < 0) or np.any(candidates >= num_items):
+                raise ValueError(
+                    f"request {index}: candidate ids must be in [0, {num_items})"
                 )
 
 
@@ -469,10 +510,16 @@ class Response:
 class _Resolved:
     """A validated request: zero-quality exclusions/history applied,
     alpha folded into the quality, topk-rerank lowered to MAP over an
-    explicit candidate slice."""
+    explicit candidate slice.
+
+    ``quality``, ``pins`` and ``categories`` are in ground-set
+    coordinates: catalog-sized / catalog ids for full-catalog requests,
+    slice-sized / positions inside ``candidates`` for sliced ones.
+    ``history`` stays in catalog ids (its factor rows deflate the
+    kernel whatever the ground set)."""
 
     index: int
-    quality: np.ndarray  # catalog-sized effective quality (alpha applied)
+    quality: np.ndarray  # ground-set effective quality (alpha applied)
     k: int
     mode: str  # "sample" | "map" after lowering
     report_mode: str  # the caller's mode, echoed in the Response
@@ -539,65 +586,63 @@ class KDPPServer:
     # Request resolution
     # ------------------------------------------------------------------
     def _resolve(
-        self, request: Request, index: int, snap: CatalogSnapshot
+        self,
+        request: Request,
+        index: int,
+        snap: CatalogSnapshot,
+        validated: bool = False,
     ) -> _Resolved:
+        """Validate one request and bring it into ground-set coordinates.
+
+        ``validated=True`` skips :meth:`Request.validate` for requests a
+        front end already checked (the sharded funnel validates each
+        request once, before lowering it to a pool).
+
+        Exclusions, history, ``alpha``, the finite/non-negative value
+        scan and the pin-positivity check apply to whatever can reach a
+        kernel: the whole catalog vector for full-catalog and
+        ``topk-rerank`` requests (the latter ranks the whole vector),
+        but only ``quality[candidates]`` for sliced ones — a
+        funnel-lowered request at catalog scale pays for its pool, not
+        the catalog.  A bad value outside a slice is never read.
+        """
         num_items = snap.num_items
-        request.validate(num_items, index)
-        # The O(M) value scan runs on whatever can reach a kernel: the
-        # full vector for full-catalog (and topk-rerank, which ranks the
-        # whole vector) requests, but only the candidate slice for
-        # explicitly-sliced ones — funnel-lowered requests at catalog
-        # scale would otherwise pay two full passes per request to
-        # validate entries their k-DPP never reads (the slice scan
-        # happens below, once candidates are known).
-        sliced = request.candidates is not None and request.mode != "topk-rerank"
-        quality = effective_request_quality(
-            request, index, num_items, check_values=not sliced
-        )
+        if not validated:
+            request.validate(num_items, index)
+        mode = request.mode
+        candidates = request.candidates
+        if candidates is not None:
+            candidates = np.asarray(candidates, dtype=np.int64)
+        quality = effective_request_quality(request, index, candidates)
         alpha = float(request.alpha)
         if alpha != 1.0:
-            # q^(1/alpha), guarded: negative entries (only reachable on
-            # the deferred-scan sliced path) power to nan and fail the
-            # slice scan below with the standard quality error.
-            with np.errstate(invalid="ignore", over="ignore"):
+            # q^(1/alpha) after the value scan, so the clip below can
+            # never turn an inf into a servable value.
+            with np.errstate(over="ignore"):
                 quality = np.power(quality, 1.0 / alpha)
             np.minimum(quality, ALPHA_QUALITY_CLIP, out=quality)
-        history = _as_ids(request.history)
         pins = _as_ids(request.pins)
-        candidates = request.candidates
-        mode = request.mode
-        local = None  # quality gathered at the candidate slice, once
+        categories = (
+            np.asarray(request.categories, dtype=np.int64) if request.quotas else None
+        )
         if mode == "topk-rerank":
-            if candidates is not None:
-                raise ValueError(
-                    f"request {index}: topk-rerank builds its own candidate "
-                    "pool; pass mode='map' to rerank an explicit slice"
-                )
             pool = (
                 self.rerank_pool if request.rerank_pool is None else request.rerank_pool
             )
             candidates = top_k_indices(quality, max(pool, request.k))
             candidates = extend_pool_for_constraints(
-                candidates, quality, pins, request.quotas, request.categories
+                candidates, quality, pins, request.quotas, categories
             )
-            local = quality[candidates]
+            quality = quality[candidates]
             mode = "map"
-        elif candidates is not None:
-            candidates = np.asarray(candidates, dtype=np.int64)
-            if candidates.ndim != 1 or len(set(candidates.tolist())) != len(candidates):
-                raise ValueError(
-                    f"request {index}: candidates must be unique item ids"
-                )
-            if np.any(candidates < 0) or np.any(candidates >= num_items):
-                raise ValueError(
-                    f"request {index}: candidate ids must be in [0, {num_items})"
-                )
-            local = quality[candidates]
-            if not np.all(np.isfinite(local)) or np.any(local < 0):
-                raise ValueError(
-                    f"request {index}: quality must be finite and non-negative"
-                )
-        ground = num_items if candidates is None else candidates.shape[0]
+        if candidates is not None:
+            if pins is not None:
+                # Pins are slice members (validated, or added to a built
+                # pool), so each matches exactly one position.
+                pins = np.argmax(candidates[:, None] == pins, axis=0)
+            if categories is not None:
+                categories = categories[candidates]
+        ground = quality.shape[0]
         if request.k > ground:
             raise ValueError(
                 f"request {index}: k={request.k} exceeds ground-set size {ground}"
@@ -606,7 +651,7 @@ class KDPPServer:
         # ground set is the positive-quality slice; catching k overruns
         # here turns an opaque downstream eigensolver/ESP failure into a
         # request-indexed error before any batch work starts.
-        effective = int(np.count_nonzero(quality if local is None else local))
+        effective = int(np.count_nonzero(quality))
         if request.k > effective:
             raise ValueError(
                 f"request {index}: k={request.k} exceeds the effective "
@@ -627,14 +672,10 @@ class KDPPServer:
             report_mode=request.mode,
             candidates=candidates,
             seed=request.seed,
-            history=history,
+            history=_as_ids(request.history),
             pins=pins,
             quotas=dict(request.quotas) if request.quotas else None,
-            categories=(
-                np.asarray(request.categories, dtype=np.int64)
-                if request.quotas
-                else None
-            ),
+            categories=categories,
         )
 
     def _request_rng(self, resolved: _Resolved) -> np.random.Generator:
@@ -662,25 +703,32 @@ class KDPPServer:
         spans — resolve / dual_build / eigh / normalizer / selection /
         emit — through the recorder's injected clock.
         """
-        snap = self._pin(snapshot)
+        return self._serve_batch(requests, self._pin(snapshot), stages)
+
+    def _serve_batch(
+        self,
+        requests: Sequence[Request],
+        snap: CatalogSnapshot,
+        stages: StageRecorder | None,
+        validated: bool = False,
+    ) -> list[Response]:
+        """:meth:`serve` on a pinned snapshot (``validated``: see
+        :meth:`_resolve`)."""
         with stage_span(stages, "resolve"):
             resolved = [
-                self._resolve(request, i, snap)
+                self._resolve(request, i, snap, validated)
                 for i, request in enumerate(requests)
             ]
         responses: list[Response | None] = [None] * len(resolved)
         groups: dict[tuple, list[_Resolved]] = {}
         for item in resolved:
-            ground = (
-                snap.num_items if item.candidates is None else item.candidates.shape[0]
-            )
             # Session requests (history/pins/quotas) are grouped apart
             # from clean ones: clean groups run the original code paths
             # verbatim, which is what keeps the default request shape
             # bit-identical to pre-session serving.
             key = (
                 item.candidates is None,
-                ground,
+                item.quality.shape[0],
                 item.k,
                 item.mode,
                 item.has_session,
@@ -865,9 +913,7 @@ class KDPPServer:
     ) -> None:
         with stage_span(stages, "dual_build"):
             candidates = np.stack([member.candidates for member in members])
-            local_quality = np.stack(
-                [member.quality[member.candidates] for member in members]
-            )
+            local_quality = np.stack([member.quality for member in members])
             stack = local_quality[:, :, None] * snap.take_rows(candidates)
             duals = np.matmul(np.swapaxes(stack, 1, 2), stack)
         with stage_span(stages, "eigh"):
@@ -893,82 +939,72 @@ class KDPPServer:
     # ------------------------------------------------------------------
     # Session serving (history conditioning, pins, quotas)
     # ------------------------------------------------------------------
-    def _session_units(
-        self, history: np.ndarray | None, snap: CatalogSnapshot
-    ) -> np.ndarray | None:
-        """Orthonormal ``(r, h')`` basis of the history rows' span (the
-        deflation directions of the conditioned kernel), or ``None``."""
-        if history is None:
-            return None
-        return _orthonormal_columns(snap.take_rows(history))
+    def _session_rows(
+        self, members: list[_Resolved], snap: CatalogSnapshot, pins: bool
+    ) -> list[np.ndarray | None]:
+        """Each member's history factor rows, followed by its pin rows
+        when ``pins`` (catalog ids: the full-catalog path), gathered for
+        the whole group with one ``take_rows`` call; ``None`` for a
+        member with neither."""
+        ids = []
+        for member in members:
+            parts = [
+                part
+                for part in (member.history, member.pins if pins else None)
+                if part is not None
+            ]
+            ids.append(np.concatenate(parts) if parts else None)
+        lengths = [0 if part is None else part.shape[0] for part in ids]
+        if not any(lengths):
+            return [None] * len(members)
+        rows = snap.take_rows(np.concatenate([part for part in ids if part is not None]))
+        split = np.split(rows, np.cumsum(lengths)[:-1])
+        return [part if length else None for length, part in zip(lengths, split)]
 
-    def _local_pins(self, member: _Resolved) -> np.ndarray | None:
-        """The member's pins as local ground-set ids (positions inside
-        its candidate slice when one exists, catalog ids otherwise)."""
-        if member.pins is None:
-            return None
-        if member.candidates is None:
-            return member.pins
-        position = {int(item): i for i, item in enumerate(member.candidates)}
-        return np.array(
-            [position[int(pin)] for pin in member.pins], dtype=np.int64
-        )
+    @staticmethod
+    def _history_units(
+        members: list[_Resolved], rows: list[np.ndarray | None]
+    ) -> list[np.ndarray | None]:
+        """Per member, the orthonormal ``(r, h')`` basis of its history
+        rows' span (the deflation directions of the conditioned kernel),
+        or ``None``; ``rows`` comes from :meth:`_session_rows`."""
+        return [
+            None
+            if member.history is None
+            else _orthonormal_columns(part[: member.history.shape[0]])
+            for member, part in zip(members, rows)
+        ]
 
+    @staticmethod
     def _session_map_inputs(
-        self,
-        members: list[_Resolved],
-        units: list[np.ndarray | None],
-        snap: CatalogSnapshot,
-        stack: np.ndarray | None,
+        members: list[_Resolved], seed_rows: list[np.ndarray | None], rank: int
     ) -> tuple[np.ndarray | None, list, list | None]:
         """Assemble the constrained-greedy inputs for one session group:
-        zero-padded seed directions, per-member local pins and quota
-        specs.
+        zero-padded seed directions spanning each member's ``seed_rows``,
+        per-member local pins and quota specs.
 
-        On the full-catalog path (``stack=None``) each member's seeds
-        span its history *and* pin rows (both from the shared factors);
-        on the sliced path the stack rows are already history-deflated,
-        so the seeds span only the (deflated) pinned rows.
+        On the full-catalog path the seed rows are each member's history
+        *and* pin rows (both from the shared factors); on the sliced
+        path the stack rows are already history-deflated, so they are
+        only the (deflated) pinned rows.
         """
-        bases: list[np.ndarray | None] = []
-        pins: list[np.ndarray | None] = []
-        quota: list[tuple | None] = []
-        any_quota = False
-        for b, member in enumerate(members):
-            local_pins = self._local_pins(member)
-            pins.append(local_pins)
-            if stack is None:
-                rows = []
-                if member.history is not None:
-                    rows.append(snap.take_rows(member.history))
-                if member.pins is not None:
-                    rows.append(snap.take_rows(member.pins))
-                basis = (
-                    _orthonormal_columns(np.concatenate(rows)) if rows else None
-                )
-            elif local_pins is not None:
-                basis = _orthonormal_columns(stack[b, local_pins])
-            else:
-                basis = None
-            bases.append(basis)
-            if member.quotas:
-                categories = member.categories
-                if member.candidates is not None:
-                    categories = categories[member.candidates]
-                quota.append((categories, member.quotas))
-                any_quota = True
-            else:
-                quota.append(None)
+        bases = [
+            None if rows is None else _orthonormal_columns(rows) for rows in seed_rows
+        ]
+        quota = [
+            (member.categories, member.quotas) if member.quotas else None
+            for member in members
+        ]
         widths = [0 if basis is None else basis.shape[1] for basis in bases]
         seeds = None
         if any(widths):
-            seeds = np.zeros(
-                (len(members), max(widths), snap.rank), dtype=np.float64
-            )
+            seeds = np.zeros((len(members), max(widths), rank), dtype=np.float64)
             for b, basis in enumerate(bases):
                 if basis is not None:
                     seeds[b, : basis.shape[1]] = basis.T
-        return seeds, pins, (quota if any_quota else None)
+        pins = [member.pins for member in members]
+        has_quota = any(spec is not None for spec in quota)
+        return seeds, pins, (quota if has_quota else None)
 
     def _serve_full_session_group(
         self,
@@ -990,9 +1026,8 @@ class KDPPServer:
         factors = snap.factors
         quality = np.stack([member.quality for member in members])
         with stage_span(stages, "dual_build"):
-            units = [
-                self._session_units(member.history, snap) for member in members
-            ]
+            rows = self._session_rows(members, snap, pins=True)
+            units = self._history_units(members, rows)
             duals = snap.build_duals(quality**2)
             for b, basis in enumerate(units):
                 if basis is not None:
@@ -1017,7 +1052,7 @@ class KDPPServer:
                 )
             else:
                 seeds, pins, quota = self._session_map_inputs(
-                    members, units, snap, stack=None
+                    members, rows, snap.rank
                 )
                 samples = batched_greedy_map_shared_session(
                     factors, quality, k, seeds=seeds, pins=pins, quota=quota
@@ -1052,13 +1087,11 @@ class KDPPServer:
         MAP runs the session greedy over the deflated stack."""
         with stage_span(stages, "dual_build"):
             candidates = np.stack([member.candidates for member in members])
-            local_quality = np.stack(
-                [member.quality[member.candidates] for member in members]
-            )
+            local_quality = np.stack([member.quality for member in members])
             stack = local_quality[:, :, None] * snap.take_rows(candidates)
-            units = [
-                self._session_units(member.history, snap) for member in members
-            ]
+            units = self._history_units(
+                members, self._session_rows(members, snap, pins=False)
+            )
             for b, basis in enumerate(units):
                 if basis is not None:
                     stack[b] -= (stack[b] @ basis) @ basis.T
@@ -1078,7 +1111,12 @@ class KDPPServer:
                 samples = batched_sample_elementary_stacked(bases, rngs)
             else:
                 seeds, pins, quota = self._session_map_inputs(
-                    members, units, snap, stack=stack
+                    members,
+                    [
+                        None if member.pins is None else stack[b, member.pins]
+                        for b, member in enumerate(members)
+                    ],
+                    snap.rank,
                 )
                 samples = batched_greedy_map_stacked_session(
                     stack, k, seeds=seeds, pins=pins, quota=quota
@@ -1168,14 +1206,15 @@ class KDPPServer:
         responses: list[Response] = []
         for i, request in enumerate(requests):
             member = self._resolve(request, i, snap)
-            if member.candidates is None:
-                factors = member.quality[:, None] * snap.factors
-            else:
-                factors = (
-                    member.quality[member.candidates][:, None]
-                    * snap.take_rows(member.candidates)
-                )
-            basis = self._session_units(member.history, snap)
+            rows = (
+                snap.factors
+                if member.candidates is None
+                else snap.take_rows(member.candidates)
+            )
+            factors = member.quality[:, None] * rows
+            basis = self._history_units(
+                [member], self._session_rows([member], snap, pins=False)
+            )[0]
             if basis is not None:
                 # Primal deflation — deliberately a different route than
                 # the batched dual deflation, so the two paths cross-
@@ -1190,23 +1229,19 @@ class KDPPServer:
                 if member.pins is None and not member.quotas:
                     local = greedy_map(lowrank, member.k)
                 else:
-                    local_pins = self._local_pins(member)
                     seeds = None
-                    if local_pins is not None:
-                        pin_basis = _orthonormal_columns(factors[local_pins])
+                    if member.pins is not None:
+                        pin_basis = _orthonormal_columns(factors[member.pins])
                         if pin_basis is not None:
                             seeds = pin_basis.T[None]
                     quota = None
                     if member.quotas:
-                        categories = member.categories
-                        if member.candidates is not None:
-                            categories = categories[member.candidates]
-                        quota = [(categories, member.quotas)]
+                        quota = [(member.categories, member.quotas)]
                     local = batched_greedy_map_stacked_session(
                         factors[None],
                         member.k,
                         seeds=seeds,
-                        pins=[local_pins],
+                        pins=[member.pins],
                         quota=quota,
                     )[0]
                 if len(local) == member.k:

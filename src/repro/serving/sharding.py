@@ -63,7 +63,7 @@ import numpy as np
 
 from ..retrieval import CandidateSource, ExactTopK, FunnelCache
 from ..retrieval.cache import session_token
-from ..utils.topk import top_k_indices
+from ..utils.topk import top_k_indices_rows
 from .catalog import CatalogSnapshot, VersionedExtensions
 from .config import UNSET, ServingConfig, resolve_config
 from .observability import StageRecorder, stage_span
@@ -139,9 +139,11 @@ class ShardedSnapshot(VersionedExtensions):
         rows = np.empty((flat.shape[0], self.rank), dtype=np.float64)
         owners = np.searchsorted(self.offsets, flat, side="right") - 1
         for s, shard in enumerate(self.shards):
-            mask = owners == s
-            if np.any(mask):
-                rows[mask] = shard.factors[flat[mask] - self.offsets[s]]
+            positions = np.flatnonzero(owners == s)
+            if positions.size:
+                rows[positions] = np.take(
+                    shard.factors, flat[positions] - self.offsets[s], axis=0
+                )
         return rows.reshape(*indices.shape, self.rank)
 
     def shard_topk(self, quality: np.ndarray, width: int) -> np.ndarray:
@@ -287,7 +289,7 @@ class ShardedKDPPServer(KDPPServer):
     # ------------------------------------------------------------------
     def _funnel_pools(
         self,
-        members: list[tuple[int, Request, np.ndarray]],
+        members: list[tuple[int, Request]],
         width: int,
         snap: ShardedSnapshot,
         stages: StageRecorder | None = None,
@@ -296,45 +298,56 @@ class ShardedKDPPServer(KDPPServer):
 
         Cache hits (requests carrying a ``user`` id with a pool already
         memoized for this catalog version and width) skip candidate
-        generation entirely; the misses run through ``self.source`` as
-        one stacked batch and are written back for the next visit.
+        generation entirely and never touch a catalog-sized vector.  The
+        misses write their effective quality once, straight into the
+        ``(B, M)`` source stack, run through ``self.source`` as one
+        batch, and are written back for the next visit.
         """
         cache = self.funnel_cache
         pools: list[np.ndarray | None] = [None] * len(members)
         miss_rows: list[int] = []
         tokens: list[int | None] = [None] * len(members)
-        for row, (_, request, quality) in enumerate(members):
+        for row, (_, request) in enumerate(members):
             if cache is not None and request.user is not None:
                 # Exclusions and session history are zeroed into the
                 # quality the funnel sees, so they are part of the
-                # pool's identity — the token keys them exactly (the
-                # strided quality fingerprint alone could miss a few
-                # zeroed entries, and a cached pool must never
-                # resurface an already-shown item).
+                # pool's identity — the token keys them exactly, and the
+                # strided fingerprint reads the caller's raw vector (it
+                # could miss a few zeroed entries anyway, and a cached
+                # pool must never resurface an already-shown item).
                 tokens[row] = session_token(request.exclude, request.history)
                 hit = cache.get(
-                    request.user, snap.version, width, quality, tokens[row]
+                    request.user,
+                    snap.version,
+                    width,
+                    np.asarray(request.quality, dtype=np.float64),
+                    tokens[row],
                 )
                 if hit is not None:
                     pools[row] = hit
                     continue
             miss_rows.append(row)
         if miss_rows:
-            stacked = np.stack([members[row][2] for row in miss_rows])
+            stacked = np.empty((len(miss_rows), snap.num_items))
+            for out_row, row in enumerate(miss_rows):
+                index, request = members[row]
+                effective_request_quality(
+                    request, index, out=stacked[out_row], check_values=False
+                )
             # "source" nests inside the enclosing "funnel" span, so it
             # is marked nested — coverage sums must not count it twice.
             with stage_span(stages, "source", nested=True):
                 fresh = self.source.pools(stacked, width, snap)
             for out_row, row in enumerate(miss_rows):
                 pools[row] = fresh[out_row]
-                _, request, quality = members[row]
+                _, request = members[row]
                 if cache is not None and request.user is not None:
                     cache.put(
                         request.user,
                         snap.version,
                         width,
                         fresh[out_row],
-                        quality,
+                        np.asarray(request.quality, dtype=np.float64),
                         tokens[row],
                     )
         return pools  # type: ignore[return-value]
@@ -347,25 +360,29 @@ class ShardedKDPPServer(KDPPServer):
     ) -> list[Request]:
         """Rewrite every request as an explicit merged-pool slice.
 
-        Funnel pools for same-width requests — rerank included — are
-        built in one :meth:`CandidateSource.pools` batch over the
-        stacked qualities (cache hits excepted).  Field validation
-        reuses the engine's helpers; the O(M) finiteness/negativity scan
-        runs once, in ``_resolve`` on the lowered request (non-finite
-        entries can transiently enter a pool, but never reach a kernel).
+        Each request is validated here, once: the lowered request keeps
+        the caller's already-checked fields (quality, exclusions,
+        history, pins, ...) and only gains ``candidates`` — a pool that
+        holds unique ids and contains the pins by construction — so the
+        engine resolves it without validating again.  Funnel pools for
+        same-width requests, rerank included, come from one
+        :meth:`CandidateSource.pools` batch over the stacked effective
+        qualities (cache hits excepted).
+
+        Nothing here scans quality *values*: the finite/non-negative
+        scan runs in ``_resolve``, on the pool only, so a bad value
+        fails the request exactly when the funnel puts it in the pool
+        (the policy is stated in :mod:`repro.retrieval.exact`).
         """
         lowered: list[Request | None] = [None] * len(requests)
-        by_width: dict[int, list[tuple[int, Request, np.ndarray]]] = {}
+        by_width: dict[int, list[tuple[int, Request]]] = {}
         for index, request in enumerate(requests):
             request.validate(snap.num_items, index)
             if request.candidates is not None:
                 # Caller-specified slices bypass the funnel untouched
-                # (the engine validates and serves them as-is).
+                # (the engine serves them as-is).
                 lowered[index] = request
                 continue
-            quality = effective_request_quality(
-                request, index, snap.num_items, check_values=False
-            )
             if request.mode == "topk-rerank":
                 pool_size = (
                     self.rerank_pool
@@ -375,42 +392,36 @@ class ShardedKDPPServer(KDPPServer):
                 width = max(pool_size, request.k)
             else:
                 width = max(self.funnel_width, request.k)
-            by_width.setdefault(width, []).append((index, request, quality))
+            by_width.setdefault(width, []).append((index, request))
         for width, members in by_width.items():
             pools = self._funnel_pools(members, width, snap, stages)
-            for row, (index, request, quality) in enumerate(members):
-                if request.mode == "topk-rerank":
+            for (index, request), pool in zip(members, pools):
+                mode = request.mode
+                if mode == "topk-rerank":
                     # Exact global top-N over the union: per-shard top-N
-                    # covers it, so rank the union and keep the winners.
-                    union = pools[row]
-                    pool = union[top_k_indices(quality[union], width)]
+                    # covers it, so rank the union and keep the winners
+                    # (same NaN-first order as the funnel itself).
+                    union = effective_request_quality(
+                        request, index, pool, check_values=False
+                    )
+                    keep = min(width, union.shape[0])
+                    pool = pool[top_k_indices_rows(union[None], keep)[0]]
                     mode = "map"
-                else:
-                    pool, mode = pools[row], request.mode
                 # Constraint extras join *after* the cache/rerank stage:
                 # the cached pool stays the pure funnel output (reusable
                 # across constraint changes) while pins and quota'd
-                # categories are guaranteed pool membership.
-                pool = extend_pool_for_constraints(
-                    pool,
-                    quality,
-                    request.pins,
-                    request.quotas,
-                    request.categories,
+                # categories are guaranteed pool membership.  Only quota
+                # top-ups read the catalog-sized quality.
+                quality = (
+                    effective_request_quality(request, index, check_values=False)
+                    if request.quotas
+                    else None
                 )
-                lowered[index] = Request(
-                    quality=quality,
-                    k=request.k,
-                    mode=mode,
-                    candidates=pool,
-                    seed=request.seed,
-                    user=request.user,
-                    alpha=request.alpha,
-                    history=request.history,
-                    pins=request.pins,
-                    quotas=request.quotas,
-                    categories=request.categories,
-                    deadline=request.deadline,
+                pool = extend_pool_for_constraints(
+                    pool, quality, request.pins, request.quotas, request.categories
+                )
+                lowered[index] = dataclass_replace(
+                    request, mode=mode, candidates=pool
                 )
         return lowered  # type: ignore[return-value]
 
@@ -446,7 +457,7 @@ class ShardedKDPPServer(KDPPServer):
         snap = self._pin(snapshot)
         with stage_span(stages, "funnel"):
             lowered = self._lower(requests, snap, stages)
-        responses = super().serve(lowered, snapshot=snap, stages=stages)
+        responses = self._serve_batch(lowered, snap, stages, validated=True)
         return self._restamp_modes(requests, responses)
 
     def serve_sequential(

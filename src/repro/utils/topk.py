@@ -38,23 +38,29 @@ def top_k_indices_rows(scores: np.ndarray, k: int) -> np.ndarray:
     of B python-level calls — :class:`~repro.retrieval.exact.ExactTopK`
     runs this per shard to build every request's candidate pool in two
     vectorized passes (and the approximate sources fall back to it row
-    by row).  Rows are assumed finite (serving quality vectors are);
+    by row).  The partition selects the top ``k`` in place of the
+    ``(B, M)`` stack (at position ``M - k``), so no negated copy of the
+    stack is made; only the ``(B, k)`` winners are sorted descending.
     ``k`` must not exceed the row length.  Returns ``(B, k)`` indices in
     descending score order per row.
+
+    NaN ranks above every number in the partition (numpy sorts NaN
+    last), so a NaN entry is always among its row's ``k`` winners —
+    placed after the finite ones.  ``-inf`` and negative scores rank
+    below every non-negative one.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"expected a (B, M) score stack, got {scores.shape}")
-    if not 1 <= k <= scores.shape[1]:
-        raise ValueError(f"k must be in [1, {scores.shape[1]}], got {k}")
-    if k == scores.shape[1]:
-        candidates = np.broadcast_to(
-            np.arange(k), (scores.shape[0], k)
-        )
+    size = scores.shape[1]
+    if not 1 <= k <= size:
+        raise ValueError(f"k must be in [1, {size}], got {k}")
+    if k == size:
+        candidates = np.broadcast_to(np.arange(k), (scores.shape[0], k))
     else:
-        candidates = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-    picked = np.take_along_axis(-scores, candidates, axis=1)
-    order = np.argsort(picked, axis=1, kind="stable")
+        candidates = np.argpartition(scores, size - k, axis=1)[:, size - k :]
+    picked = np.take_along_axis(scores, candidates, axis=1)
+    order = np.argsort(-picked, axis=1, kind="stable")
     return np.take_along_axis(candidates, order, axis=1)
 
 

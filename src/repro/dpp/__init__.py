@@ -69,7 +69,6 @@ from .map_inference import (
     batched_greedy_map_stacked,
     batched_greedy_map_stacked_session,
     greedy_map,
-    greedy_map_reference,
 )
 
 __all__ = [
@@ -110,7 +109,6 @@ __all__ = [
     "DiversityKernelLearner",
     "category_jaccard_kernel",
     "greedy_map",
-    "greedy_map_reference",
     "batched_greedy_map_shared",
     "batched_greedy_map_stacked",
     "batched_greedy_map_shared_session",

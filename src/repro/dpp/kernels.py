@@ -20,6 +20,7 @@ from ..autodiff import Tensor, as_tensor
 
 __all__ = [
     "LowRankKernel",
+    "clip_dual_spectrum",
     "quality_diversity_kernel",
     "quality_diversity_kernel_np",
     "batched_quality_diversity_kernel",
@@ -36,6 +37,23 @@ __all__ = [
 #: kernel entries (products of two exponentials) within float64 range and
 #: reproduces the stabilization the paper reports needing.
 SCORE_CLIP = 12.0
+
+
+def clip_dual_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
+    """Zero the round-off of (a stack of) ``r × r`` Gram-dual spectra.
+
+    ``eigh`` returns a PSD dual's null directions as ``±O(eps·λ_max)``
+    noise, and a history deflation leaves such noise where it removed a
+    direction.  Every eigenvalue below the relative cutoff
+    ``r·eps·λ_max`` counts as exactly 0, so a kernel whose rank is below
+    ``k`` has ``e_k = 0`` and fails with the rank error instead of
+    drawing from round-off.  Eigenvalues at or above the cutoff are
+    returned unchanged.
+    """
+    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+    top = eigenvalues.max(axis=-1, keepdims=True, initial=0.0)
+    cutoff = eigenvalues.shape[-1] * np.finfo(np.float64).eps * top
+    return np.where(eigenvalues < cutoff, 0.0, eigenvalues)
 
 
 class LowRankKernel:
@@ -110,13 +128,13 @@ class LowRankKernel:
         """Eigendecomposition of the dual kernel, cached.
 
         Returns ``(eigenvalues, dual_vectors)`` with eigenvalues ascending
-        and clipped at zero.  ``C = Bᵀ B`` and ``L = B Bᵀ`` share their
+        and round-off zeroed by :func:`clip_dual_spectrum`.  ``C = Bᵀ B`` and ``L = B Bᵀ`` share their
         nonzero spectrum, so these r eigenvalues *are* the kernel's
         spectrum — the remaining ``M - r`` eigenvalues are exactly zero.
         """
         if self._dual_spectrum is None:
             eigenvalues, dual_vectors = np.linalg.eigh(self.dual())
-            self._dual_spectrum = (np.clip(eigenvalues, 0.0, None), dual_vectors)
+            self._dual_spectrum = (clip_dual_spectrum(eigenvalues), dual_vectors)
         return self._dual_spectrum
 
     def lift_eigenvectors(self, indices: np.ndarray | None = None) -> np.ndarray:

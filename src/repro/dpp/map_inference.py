@@ -22,7 +22,6 @@ from .kernels import LowRankKernel
 
 __all__ = [
     "greedy_map",
-    "greedy_map_reference",
     "batched_greedy_map_shared",
     "batched_greedy_map_stacked",
     "batched_greedy_map_shared_session",
@@ -104,10 +103,18 @@ def greedy_map(
     return [int(candidates[i]) for i in selected]
 
 
-def _batched_greedy_rounds(
-    di2: np.ndarray, row_factor, project, rank: int, k: int, epsilon: float
-) -> list[list[int]]:
-    """Shared driver of the batched greedy-MAP variants, in factor space.
+def _greedy_rounds(
+    di2: np.ndarray,
+    row_factor,
+    project,
+    rank: int,
+    k: int,
+    epsilon: float,
+    seeds: np.ndarray | None = None,
+    pins: list | None = None,
+    quota: list | None = None,
+) -> tuple[list[list[int]], np.ndarray]:
+    """The greedy rounds behind every batched greedy-MAP variant, in factor space.
 
     ``di2`` is the ``(B, N)`` stack of marginal-gain residuals.  All
     kernels here are low-rank — item ``i`` of request ``b`` is a factor
@@ -129,52 +136,125 @@ def _batched_greedy_rounds(
     ``row_factor(lasts)`` returns the ``(B, r)`` factor rows of the
     per-request last-selected items; ``project(u)`` returns the
     ``(B, N)`` inner products of every item's factor row with each
-    request's new direction.  Per-request early stopping mirrors
-    :func:`greedy_map` exactly: the first item is always kept, later
-    rounds stop a request once its best remaining gain falls below
-    ``epsilon`` (other requests keep running).
+    request's new direction.
 
-    Selection bookkeeping is fully vectorized: each round masks the
-    just-picked item per request with one fancy-index write and takes
-    one batched ``argmax`` over the masked gain stack — no per-request
-    python loop (the residual cost the PR 4 Cholesky fusion left
-    behind).  For a request that has already stopped, the mask falls on
-    its latest (never-kept) argmax instead of a selected item; that row
-    is permanently inactive, so its gain state no longer feeds any
-    output and the extra masking is harmless.
+    Session constraints are optional; without them this is plain greedy
+    MAP.  ``seeds`` is a zero-padded ``(B, s, r)`` stack of orthonormal
+    conditioning directions the Gram–Schmidt state starts from (zero
+    rows are inert); ``di2`` must already be deflated against them.
+    ``pins[b]`` is a local-id array of force-included items — they
+    occupy the front of request ``b``'s picks and their directions are
+    assumed to be part of ``seeds`` (so their gains are zero and they
+    are additionally hard-masked here).  ``quota[b]`` is ``None`` or
+    ``(categories, {category: minimum})`` with ``categories`` a local
+    ``(N,)`` int array: whenever a request's remaining slots are all
+    needed to close quota deficits, its argmax is restricted to the
+    deficit categories.
+
+    Early stopping mirrors :func:`greedy_map`: a request's very first
+    pick (no pins) is always kept; every later pick — quota-restricted
+    or not — requires a gain of at least ``epsilon``, so an exhausted
+    rank or an unsatisfiable quota yields a partial slate rather than
+    padding with zero-gain items (other requests keep running).
 
     Returns the per-request picks and each request's last-decision gain:
-    the best remaining gain of its last pick or of its ε-stop.
+    the best remaining gain of its last pick or of its ε-stop (what the
+    top-candidate certificate of :func:`batched_greedy_map_shared`
+    reads).
     """
     batch, _ = di2.shape
     rows_index = np.arange(batch)
-    ortho = np.zeros((batch, max(k - 1, 1), rank), dtype=np.float64)
-    lasts = np.argmax(di2, axis=1)
-    picks = np.empty((batch, k), dtype=np.int64)
-    picks[:, 0] = lasts
-    counts = np.ones(batch, dtype=np.int64)
-    active = np.ones(batch, dtype=bool)
-    last_gains = di2[rows_index, lasts]
-    for round_index in range(1, k):
-        if not np.any(active):
+    s_max = 0 if seeds is None else seeds.shape[1]
+    # At most k - 1 directions join the seeds: the round that makes a
+    # request's k-th pick stops it before projecting.
+    ortho = np.zeros((batch, s_max + max(k - 1, 1), rank), dtype=np.float64)
+    if seeds is not None:
+        ortho[:, :s_max] = seeds
+    filled = s_max
+    # One spare column: a finished request's whole-row write lands past
+    # its slate (see the loop).
+    picks = np.full((batch, k + 1), -1, dtype=np.int64)
+    counts = np.zeros(batch, dtype=np.int64)
+    last_gains = np.zeros(batch, dtype=np.float64)
+    cat_counts: list[dict | None] = [None] * batch
+    if quota is not None:
+        for b, spec in enumerate(quota):
+            if spec is not None:
+                cat_counts[b] = {}
+    if pins is not None:
+        for b, pinned in enumerate(pins):
+            if pinned is None or len(pinned) == 0:
+                continue
+            pinned = np.asarray(pinned, dtype=np.int64)
+            picks[b, : pinned.shape[0]] = pinned
+            counts[b] = pinned.shape[0]
+            di2[b, pinned] = -np.inf
+            if cat_counts[b] is not None:
+                categories = quota[b][0]
+                for item in pinned:
+                    cat = int(categories[item])
+                    cat_counts[b][cat] = cat_counts[b].get(cat, 0) + 1
+    active = counts < k
+    # counts == 0 only holds for a pin-less request's first pick, which
+    # is kept whatever its gain.
+    first = counts == 0
+    # A pass with no active request leaves every slate and gain as it
+    # was and ends the loop: the one emptiness check precedes projecting.
+    while True:
+        lasts = np.argmax(di2, axis=1)
+        gains = di2[rows_index, lasts]
+        if quota is not None:
+            for b in np.flatnonzero(active):
+                spec = quota[b]
+                if spec is None:
+                    continue
+                categories, minimums = spec
+                seen = cat_counts[b]
+                deficits = {
+                    cat: need - seen.get(cat, 0)
+                    for cat, need in minimums.items()
+                    if need - seen.get(cat, 0) > 0
+                }
+                if not deficits:
+                    continue
+                if sum(deficits.values()) >= k - counts[b]:
+                    # Every remaining slot is spoken for: restrict the
+                    # pick to categories still short of their minimum.
+                    allowed = np.isin(categories, list(deficits))
+                    row = np.where(allowed, di2[b], -np.inf)
+                    lasts[b] = int(np.argmax(row))
+                    gains[b] = row[lasts[b]]
+        np.copyto(last_gains, gains, where=active)
+        keep = gains >= epsilon
+        if first is not None:
+            keep |= first
+            first = None
+        active &= keep
+        # Whole-row writes: a finished request writes past its slate and
+        # masks an item it never picks, and its row feeds no output.
+        picks[rows_index, counts] = lasts
+        di2[rows_index, lasts] = -np.inf  # masked argmax: never re-pick
+        counts += active
+        if quota is not None:
+            for b in np.flatnonzero(active):
+                if cat_counts[b] is not None:
+                    cat = int(quota[b][0][lasts[b]])
+                    cat_counts[b][cat] = cat_counts[b].get(cat, 0) + 1
+        active &= counts < k
+        if not active.any():
             break
-        di_last = np.sqrt(np.maximum(di2[rows_index, lasts], epsilon))
+        di_last = np.sqrt(np.maximum(gains, epsilon))
         residual = row_factor(lasts)
-        if round_index > 1:
-            previous = ortho[:, : round_index - 1]
+        residual[~active] = 0.0
+        if filled:
+            previous = ortho[:, :filled]
             overlaps = np.einsum("bjr,br->bj", previous, residual)
             residual = residual - np.einsum("bj,bjr->br", overlaps, previous)
         direction = residual / di_last[:, None]
-        ortho[:, round_index - 1] = direction
+        ortho[:, filled] = direction
+        filled += 1
         eis = project(direction)
         di2 -= eis**2
-        di2[rows_index, lasts] = -np.inf  # masked argmax: never re-pick
-        lasts = np.argmax(di2, axis=1)
-        best = di2[rows_index, lasts]
-        last_gains[active] = best[active]
-        active &= best >= epsilon
-        picks[active, round_index] = lasts[active]
-        counts[active] += 1
     return [picks[b, : counts[b]].tolist() for b in range(batch)], last_gains
 
 
@@ -189,11 +269,12 @@ def _shared_rounds(
     gains: np.ndarray,
     k: int,
     epsilon: float,
+    **constraints,
 ) -> tuple[list[list[int]], np.ndarray]:
     """Greedy rounds over the whole catalog; ``gains`` (consumed) holds
     the initial gains ``q_bi² ‖v_i‖²``.  Each round's catalog-sized work
     is one shared ``(B, r) @ (r, M)`` matmul (``e_bi = q_bi ⟨v_i, u_b⟩``,
-    see :func:`_batched_greedy_rounds`)."""
+    see :func:`_greedy_rounds`, which receives ``constraints``)."""
     rows_index = np.arange(quality.shape[0])
 
     def row_factor(lasts: np.ndarray) -> np.ndarray:
@@ -204,13 +285,18 @@ def _shared_rounds(
         eis *= quality
         return eis
 
-    return _batched_greedy_rounds(
-        gains, row_factor, project, diversity_factors.shape[1], k, epsilon
+    return _greedy_rounds(
+        gains, row_factor, project, diversity_factors.shape[1], k, epsilon,
+        **constraints,
     )
 
 
 def _stacked_rounds(
-    factor_stack: np.ndarray, gains: np.ndarray, k: int, epsilon: float
+    factor_stack: np.ndarray,
+    gains: np.ndarray,
+    k: int,
+    epsilon: float,
+    **constraints,
 ) -> tuple[list[list[int]], np.ndarray]:
     """Greedy rounds over an explicit ``(B, N, r)`` factor stack whose
     initial gains are ``gains`` (consumed); each round is one batched
@@ -223,9 +309,27 @@ def _stacked_rounds(
     def project(direction: np.ndarray) -> np.ndarray:
         return np.einsum("bnr,br->bn", factor_stack, direction)
 
-    return _batched_greedy_rounds(
-        gains, row_factor, project, factor_stack.shape[2], k, epsilon
+    return _greedy_rounds(
+        gains, row_factor, project, factor_stack.shape[2], k, epsilon,
+        **constraints,
     )
+
+
+def _shared_inputs(
+    diversity_factors: np.ndarray, quality: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checked float64 ``(M, r)`` factors and ``(B, M)`` quality."""
+    diversity_factors = np.asarray(diversity_factors, dtype=np.float64)
+    quality = np.asarray(quality, dtype=np.float64)
+    ground = quality.shape[1]
+    if diversity_factors.shape[0] != ground:
+        raise ValueError(
+            f"factors cover {diversity_factors.shape[0]} items but quality "
+            f"has {ground}"
+        )
+    if not 1 <= k <= ground:
+        raise ValueError(f"k must be in [1, {ground}], got {k}")
+    return diversity_factors, quality
 
 
 def batched_greedy_map_shared(
@@ -261,16 +365,8 @@ def batched_greedy_map_shared(
     catalog), the two paths may break the tie differently — each then
     returns a valid greedy solution, just not the same one.
     """
-    diversity_factors = np.asarray(diversity_factors, dtype=np.float64)
-    quality = np.asarray(quality, dtype=np.float64)
+    diversity_factors, quality = _shared_inputs(diversity_factors, quality, k)
     ground = quality.shape[1]
-    if diversity_factors.shape[0] != ground:
-        raise ValueError(
-            f"factors cover {diversity_factors.shape[0]} items but quality "
-            f"has {ground}"
-        )
-    if not 1 <= k <= ground:
-        raise ValueError(f"k must be in [1, {ground}], got {k}")
     if item_norms is None:
         item_norms = (diversity_factors**2).sum(axis=1)
     gains = quality**2 * item_norms[None, :]
@@ -305,136 +401,10 @@ def batched_greedy_map_stacked(
 
     The candidate-slice twin of :func:`batched_greedy_map_shared`: each
     request brings its own (small) gathered ground set and every round is
-    a batched ``einsum`` over the stack.
+    a batched ``einsum`` over the stack.  It is
+    :func:`batched_greedy_map_stacked_session` with no constraints.
     """
-    factor_stack = np.asarray(factor_stack, dtype=np.float64)
-    if factor_stack.ndim != 3:
-        raise ValueError(f"expected (B, N, r) factors, got {factor_stack.shape}")
-    ground = factor_stack.shape[1]
-    if not 1 <= k <= ground:
-        raise ValueError(f"k must be in [1, {ground}], got {k}")
-    di2 = np.einsum("bnr,bnr->bn", factor_stack, factor_stack)
-    return _stacked_rounds(factor_stack, di2, k, epsilon)[0]
-
-
-def _batched_greedy_rounds_session(
-    di2: np.ndarray,
-    row_factor,
-    project,
-    rank: int,
-    k: int,
-    epsilon: float,
-    seeds: np.ndarray | None = None,
-    pins: list | None = None,
-    quota: list | None = None,
-) -> list[list[int]]:
-    """Constrained sibling of :func:`_batched_greedy_rounds`.
-
-    Serves the session-aware requests the plain driver cannot: Gram–
-    Schmidt state pre-seeded with conditioning directions, force-included
-    pins, and per-category minimum quotas.  Unconstrained groups keep the
-    original driver untouched, which is what pins the engine's
-    ``alpha=1`` / empty-history bit-parity guarantee.
-
-    ``di2`` must already be deflated against ``seeds`` (the wrappers
-    subtract the seed projections); ``seeds`` is a zero-padded
-    ``(B, s, r)`` stack of orthonormal directions per request (zero rows
-    are inert).  ``pins[b]`` is a local-id array of force-included items
-    — they occupy the front of request ``b``'s picks and their
-    directions are assumed to be part of ``seeds`` (so their gains are
-    zero and they are additionally hard-masked here).  ``quota[b]`` is
-    ``None`` or ``(categories, {category: minimum})`` with ``categories``
-    a local ``(N,)`` int array: whenever a request's remaining slots are
-    all needed to close quota deficits, its argmax is restricted to the
-    deficit categories.
-
-    Early-stop rule, uniform across constraints: a request's very first
-    pick (no pins) is always kept, matching the plain driver; every
-    later pick — quota-restricted or not — requires a gain of at least
-    ``epsilon``, so an unsatisfiable quota or an exhausted rank yields a
-    partial slate rather than padding with zero-gain items.
-    """
-    batch, _ = di2.shape
-    rows_index = np.arange(batch)
-    s_max = 0 if seeds is None else seeds.shape[1]
-    ortho = np.zeros((batch, s_max + k, rank), dtype=np.float64)
-    if seeds is not None:
-        ortho[:, :s_max] = seeds
-    filled = s_max
-    picks = np.full((batch, k), -1, dtype=np.int64)
-    counts = np.zeros(batch, dtype=np.int64)
-    cat_counts: list[dict | None] = [None] * batch
-    if quota is not None:
-        for b, spec in enumerate(quota):
-            if spec is not None:
-                cat_counts[b] = {}
-    if pins is not None:
-        for b, pinned in enumerate(pins):
-            if pinned is None or len(pinned) == 0:
-                continue
-            pinned = np.asarray(pinned, dtype=np.int64)
-            picks[b, : pinned.shape[0]] = pinned
-            counts[b] = pinned.shape[0]
-            di2[b, pinned] = -np.inf
-            if cat_counts[b] is not None:
-                categories = quota[b][0]
-                for item in pinned:
-                    cat = int(categories[item])
-                    cat_counts[b][cat] = cat_counts[b].get(cat, 0) + 1
-    active = counts < k
-    while np.any(active):
-        lasts = np.argmax(di2, axis=1)
-        gains = di2[rows_index, lasts]
-        if quota is not None:
-            for b in np.flatnonzero(active):
-                spec = quota[b]
-                if spec is None:
-                    continue
-                categories, minimums = spec
-                seen = cat_counts[b]
-                deficits = {
-                    cat: need - seen.get(cat, 0)
-                    for cat, need in minimums.items()
-                    if need - seen.get(cat, 0) > 0
-                }
-                if not deficits:
-                    continue
-                if sum(deficits.values()) >= k - counts[b]:
-                    # Every remaining slot is spoken for: restrict the
-                    # pick to categories still short of their minimum.
-                    allowed = np.isin(categories, list(deficits))
-                    row = np.where(allowed, di2[b], -np.inf)
-                    lasts[b] = int(np.argmax(row))
-                    gains[b] = row[lasts[b]]
-        # The first pick of a pin-less request is always kept (the plain
-        # driver's semantics); counts == 0 only ever holds then.
-        active &= (gains >= epsilon) | (counts == 0)
-        if not np.any(active):
-            break
-        chosen = rows_index[active]
-        picks[chosen, counts[active]] = lasts[active]
-        di2[chosen, lasts[active]] = -np.inf
-        counts[active] += 1
-        for b in chosen:
-            if cat_counts[b] is not None:
-                cat = int(quota[b][0][lasts[b]])
-                cat_counts[b][cat] = cat_counts[b].get(cat, 0) + 1
-        active &= counts < k
-        if not np.any(active):
-            break
-        di_last = np.sqrt(np.maximum(gains, epsilon))
-        residual = row_factor(lasts)
-        residual[~active] = 0.0
-        if filled:
-            previous = ortho[:, :filled]
-            overlaps = np.einsum("bjr,br->bj", previous, residual)
-            residual = residual - np.einsum("bj,bjr->br", overlaps, previous)
-        direction = residual / di_last[:, None]
-        ortho[:, filled] = direction
-        filled += 1
-        eis = project(direction)
-        di2 -= eis**2
-    return [picks[b, : counts[b]].tolist() for b in range(batch)]
+    return batched_greedy_map_stacked_session(factor_stack, k, epsilon=epsilon)
 
 
 def _deflate_gains(di2: np.ndarray, projections: np.ndarray) -> np.ndarray:
@@ -461,47 +431,19 @@ def batched_greedy_map_shared_session(
     stack of orthonormal directions (history items already shown, plus
     the span of pinned rows) that are projected out of every marginal
     gain before the first round, ``pins``/``quota`` are forwarded to
-    :func:`_batched_greedy_rounds_session`.  With no seeds, pins or
-    quotas this computes exactly what the plain shared variant computes
-    — but through a separate driver, so the unconstrained serving path
-    stays bit-identical to its pre-session behavior.
+    :func:`_greedy_rounds`.  With no seeds, pins or quotas these are the
+    plain whole-catalog rounds (no top-candidate certificate).
     """
-    diversity_factors = np.asarray(diversity_factors, dtype=np.float64)
-    quality = np.asarray(quality, dtype=np.float64)
-    batch, ground = quality.shape
-    if diversity_factors.shape[0] != ground:
-        raise ValueError(
-            f"factors cover {diversity_factors.shape[0]} items but quality "
-            f"has {ground}"
-        )
-    if not 1 <= k <= ground:
-        raise ValueError(f"k must be in [1, {ground}], got {k}")
-    rows_index = np.arange(batch)
+    diversity_factors, quality = _shared_inputs(diversity_factors, quality, k)
     di2 = quality**2 * (diversity_factors**2).sum(axis=1)[None, :]
     if seeds is not None:
         projections = np.einsum("bsr,nr->bsn", seeds, diversity_factors)
         projections *= quality[:, None, :]
         di2 = _deflate_gains(di2, projections)
-
-    def row_factor(lasts: np.ndarray) -> np.ndarray:
-        return diversity_factors[lasts] * quality[rows_index, lasts][:, None]
-
-    def project(direction: np.ndarray) -> np.ndarray:
-        eis = direction @ diversity_factors.T
-        eis *= quality
-        return eis
-
-    return _batched_greedy_rounds_session(
-        di2,
-        row_factor,
-        project,
-        diversity_factors.shape[1],
-        k,
-        epsilon,
-        seeds=seeds,
-        pins=pins,
-        quota=quota,
-    )
+    return _shared_rounds(
+        diversity_factors, quality, di2, k, epsilon,
+        seeds=seeds, pins=pins, quota=quota,
+    )[0]
 
 
 def batched_greedy_map_stacked_session(
@@ -523,52 +465,13 @@ def batched_greedy_map_stacked_session(
     factor_stack = np.asarray(factor_stack, dtype=np.float64)
     if factor_stack.ndim != 3:
         raise ValueError(f"expected (B, N, r) factors, got {factor_stack.shape}")
-    batch, ground, _ = factor_stack.shape
+    ground = factor_stack.shape[1]
     if not 1 <= k <= ground:
         raise ValueError(f"k must be in [1, {ground}], got {k}")
     di2 = np.einsum("bnr,bnr->bn", factor_stack, factor_stack)
     if seeds is not None:
         projections = np.einsum("bsr,bnr->bsn", seeds, factor_stack)
         di2 = _deflate_gains(di2, projections)
-
-    def row_factor(lasts: np.ndarray) -> np.ndarray:
-        return factor_stack[np.arange(batch), lasts]
-
-    def project(direction: np.ndarray) -> np.ndarray:
-        return np.einsum("bnr,br->bn", factor_stack, direction)
-
-    return _batched_greedy_rounds_session(
-        di2,
-        row_factor,
-        project,
-        factor_stack.shape[2],
-        k,
-        epsilon,
-        seeds=seeds,
-        pins=pins,
-        quota=quota,
-    )
-
-
-def greedy_map_reference(kernel: np.ndarray, k: int) -> list[int]:
-    """O(M k^4) textbook greedy via explicit determinants.
-
-    Used only by tests to validate :func:`greedy_map`; recomputes
-    ``det(L_{S + {i}})`` from scratch for every candidate each round.
-    """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    m = kernel.shape[0]
-    selected: list[int] = []
-    for _ in range(k):
-        best_item, best_det = -1, -np.inf
-        for i in range(m):
-            if i in selected:
-                continue
-            trial = selected + [i]
-            det = np.linalg.det(kernel[np.ix_(trial, trial)])
-            if det > best_det:
-                best_det, best_item = det, i
-        if best_item < 0 or best_det <= 0:
-            break
-        selected.append(best_item)
-    return selected
+    return _stacked_rounds(
+        factor_stack, di2, k, epsilon, seeds=seeds, pins=pins, quota=quota
+    )[0]

@@ -33,7 +33,7 @@ from ..dpp.kernels import SCORE_CLIP
 from ..models.base import Recommender
 from ..utils.topk import top_k_indices
 from .catalog import ItemCatalog
-from .config import UNSET, ServingConfig, resolve_config
+from .config import ServingConfig
 from .server import KDPPServer, Request, Response, extend_pool_for_constraints
 from .sharding import ShardedCatalog, ShardedKDPPServer
 
@@ -92,9 +92,7 @@ class RecommenderBridge:
         :class:`~repro.retrieval.cache.FunnelCache`); requests built
         here carry the user id, so the funnel cache keys naturally.
         Plug-ins are rejected when an explicit ``server`` is passed —
-        configure that server directly instead.  The legacy ``source=``
-        / ``funnel_cache=`` kwargs still work with a
-        :class:`DeprecationWarning`.
+        configure that server directly instead.
     """
 
     def __init__(
@@ -106,8 +104,6 @@ class RecommenderBridge:
         temperature: float = 1.0,
         candidate_pool: int | None = None,
         cache_size: int = 256,
-        source=UNSET,
-        funnel_cache=UNSET,
         config: ServingConfig | None = None,
     ) -> None:
         if catalog.num_items != model.num_items:
@@ -119,11 +115,7 @@ class RecommenderBridge:
             raise ValueError(f"candidate_pool must be positive, got {candidate_pool}")
         if cache_size < 0:
             raise ValueError(f"cache_size must be non-negative, got {cache_size}")
-        config = resolve_config(
-            config,
-            {"source": source, "funnel_cache": funnel_cache},
-            type(self).__name__,
-        )
+        config = config if config is not None else ServingConfig()
         self.model = model
         self.catalog = catalog
         if server is None:

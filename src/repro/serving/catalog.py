@@ -31,6 +31,7 @@ import threading
 import numpy as np
 
 from ..dpp.diversity_kernel import DiversityKernelLearner
+from ..dpp.kernels import clip_dual_spectrum
 
 __all__ = ["CatalogSnapshot", "ItemCatalog", "VersionedExtensions"]
 
@@ -152,8 +153,8 @@ class CatalogSnapshot(VersionedExtensions):
 
         This is the exact serving state for uniform-quality requests
         (``q_u = 1`` makes ``C_u = VᵀV``) and the warm-start diagnostic
-        spectrum for everything else; eigenvalues ascending, clipped at
-        zero like :meth:`LowRankKernel.eigh_dual`.
+        spectrum for everything else; eigenvalues ascending, round-off
+        zeroed like :meth:`LowRankKernel.eigh_dual`.
         """
         if self._spectrum is None:
             gram = self.gram()
@@ -161,7 +162,7 @@ class CatalogSnapshot(VersionedExtensions):
                 if self._spectrum is None:
                     eigenvalues, eigenvectors = np.linalg.eigh(gram)
                     self.spectrum_builds += 1
-                    self._spectrum = (np.clip(eigenvalues, 0.0, None), eigenvectors)
+                    self._spectrum = (clip_dual_spectrum(eigenvalues), eigenvectors)
         return self._spectrum
 
     def _gram_products_bytes(self) -> int:

@@ -1,14 +1,14 @@
 """One configuration object for the whole serving stack.
 
-Before this module, serving knobs were constructor kwargs scattered
-across three classes: ``KDPPServer(rerank_pool=...)``,
-``ShardedKDPPServer(funnel_width=..., source=..., funnel_cache=...)``
-and ``ServingRuntime(max_batch=..., max_wait=..., workers=...,
-clock=...)`` — every new layer re-threaded the union.
-:class:`ServingConfig` consolidates them: build one (frozen, validated)
-config and hand it to any layer via ``config=``; each layer reads the
-fields it owns and forwards the rest.  The legacy kwargs still work on
-every constructor but emit :class:`DeprecationWarning`s.
+Every serving infrastructure knob lives on :class:`ServingConfig`:
+build one (frozen, validated) config and hand it to any layer —
+:class:`~repro.serving.server.KDPPServer`,
+:class:`~repro.serving.sharding.ShardedKDPPServer`,
+:class:`~repro.serving.runtime.ServingRuntime`,
+:class:`~repro.serving.bridge.RecommenderBridge` — via ``config=``;
+each layer reads the fields it owns and forwards the rest.  It is the
+only way to configure them: no constructor takes the knobs as
+keyword arguments.
 
 The fields are serving *infrastructure* knobs — engine pool sizes,
 funnel plumbing, micro-batcher windows.  Per-request semantics (``k``,
@@ -21,15 +21,10 @@ funnel plumbing, micro-batcher windows.  Per-request semantics (``k``,
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
 __all__ = ["ServingConfig"]
-
-#: sentinel distinguishing "legacy kwarg not passed" from explicit None
-UNSET: Any = object()
-
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -239,32 +234,3 @@ class ServingConfig:
     def replace(self, **changes) -> "ServingConfig":
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-
-def resolve_config(
-    config: ServingConfig | None,
-    legacy: dict[str, Any],
-    owner: str,
-) -> ServingConfig:
-    """Fold deprecated per-constructor kwargs into a :class:`ServingConfig`.
-
-    ``legacy`` maps field names to values, with :data:`UNSET` marking
-    kwargs the caller did not pass.  Passed legacy kwargs emit one
-    :class:`DeprecationWarning` naming them; combining them with an
-    explicit ``config`` is rejected (two sources of truth).
-    """
-    used = {name: value for name, value in legacy.items() if value is not UNSET}
-    if not used:
-        return config if config is not None else ServingConfig()
-    if config is not None:
-        raise ValueError(
-            f"{owner}: pass either config=ServingConfig(...) or the legacy "
-            f"kwargs ({', '.join(sorted(used))}), not both"
-        )
-    warnings.warn(
-        f"{owner}({', '.join(f'{name}=...' for name in sorted(used))}) is "
-        "deprecated; pass config=ServingConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ServingConfig(**used)

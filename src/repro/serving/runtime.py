@@ -37,13 +37,13 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..utils.metrics import MetricsRegistry
 from .catalog import ItemCatalog
-from .config import UNSET, ServingConfig, resolve_config
+from .config import ServingConfig
 from .health import (
     _STATUS_SEVERITY,
     DEGRADED,
@@ -91,40 +91,15 @@ class ServingRuntime:
         (``source`` / ``funnel_cache``, sharded catalogs only; an
         attached cache is invalidated eagerly by :meth:`publish`).
         :meth:`from_config` is the constructor-shaped spelling.
-
-    The pre-config kwargs (``max_batch=``, ``funnel_width=``, ...) still
-    work but emit :class:`DeprecationWarning`; combining them with
-    ``config=`` is an error.
     """
 
     def __init__(
         self,
         catalog: ItemCatalog | ShardedCatalog,
         server: KDPPServer | None = None,
-        max_batch: int = UNSET,
-        max_wait: float = UNSET,
-        workers: int = UNSET,
-        clock: Callable[[], float] = UNSET,
-        funnel_width: int = UNSET,
-        rerank_pool: int = UNSET,
-        source=UNSET,
-        funnel_cache=UNSET,
         config: ServingConfig | None = None,
     ) -> None:
-        config = resolve_config(
-            config,
-            {
-                "max_batch": max_batch,
-                "max_wait": max_wait,
-                "workers": workers,
-                "clock": clock,
-                "funnel_width": funnel_width,
-                "rerank_pool": rerank_pool,
-                "source": source,
-                "funnel_cache": funnel_cache,
-            },
-            type(self).__name__,
-        )
+        config = config if config is not None else ServingConfig()
         self.catalog = catalog
         self.config = config
         if server is None:

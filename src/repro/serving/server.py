@@ -48,9 +48,11 @@ ids either way.
 Session-aware serving
 ---------------------
 Four request fields extend the model to multi-page sessions and
-constrained slates; all default to "off", and requests that leave them
-off are served through the exact pre-session code paths (bit-identical
-results, seeded samples included):
+constrained slates; all default to "off".  Clean and session requests
+share one group path per ground set and one greedy-MAP round loop — a clean
+request simply has no history deflation, seeds, pins or quotas — but
+they are grouped apart, so a clean request's slate does not depend on
+the session requests batched with it:
 
 * ``alpha`` — per-request diversity strength.  The effective quality is
   ``q_u^(1/alpha)``: ``alpha=1`` is the paper's Eq. 2 kernel, larger
@@ -101,7 +103,7 @@ from ..dpp.kdpp import (
     kdpp_spectrum_scale,
     select_eigenvectors_from_esp_table,
 )
-from ..dpp.kernels import LowRankKernel
+from ..dpp.kernels import LowRankKernel, clip_dual_spectrum
 from ..dpp.map_inference import (
     batched_greedy_map_shared,
     batched_greedy_map_shared_session,
@@ -111,7 +113,7 @@ from ..dpp.map_inference import (
 )
 from ..utils.topk import top_k_indices
 from .catalog import CatalogSnapshot, ItemCatalog
-from .config import UNSET, ServingConfig, resolve_config
+from .config import ServingConfig
 from .observability import StageRecorder, stage_span
 
 __all__ = [
@@ -532,12 +534,10 @@ class _Resolved:
 
     @property
     def has_session(self) -> bool:
-        """True when the request needs the session serving paths.
-
-        ``alpha`` deliberately does not count: it only rescales the
-        quality vector, so alpha-only requests ride the original
-        (bit-stable) group paths.
-        """
+        """True when the request conditions or constrains its slate
+        (history, pins or quotas), so its group runs the session greedy
+        MAP and history deflation.  ``alpha`` does not count: it only
+        rescales the quality vector."""
         return (
             self.history is not None
             or self.pins is not None
@@ -546,21 +546,14 @@ class _Resolved:
 
 
 class KDPPServer:
-    """Batched k-DPP recommendation engine over one :class:`ItemCatalog`.
-
-    Configure with ``config=ServingConfig(...)``; the legacy
-    ``rerank_pool=`` kwarg still works but is deprecated.
-    """
+    """Batched k-DPP recommendation engine over one :class:`ItemCatalog`,
+    configured by ``config=ServingConfig(...)`` (it reads
+    ``rerank_pool``)."""
 
     def __init__(
-        self,
-        catalog: ItemCatalog,
-        rerank_pool: int = UNSET,
-        config: ServingConfig | None = None,
+        self, catalog: ItemCatalog, config: ServingConfig | None = None
     ) -> None:
-        self.config = resolve_config(
-            config, {"rerank_pool": rerank_pool}, type(self).__name__
-        )
+        self.config = config if config is not None else ServingConfig()
         self.catalog = catalog
         self.rerank_pool = self.config.rerank_pool
         # Unseeded requests draw from generators spawned off one entropy
@@ -722,10 +715,8 @@ class KDPPServer:
         responses: list[Response | None] = [None] * len(resolved)
         groups: dict[tuple, list[_Resolved]] = {}
         for item in resolved:
-            # Session requests (history/pins/quotas) are grouped apart
-            # from clean ones: clean groups run the original code paths
-            # verbatim, which is what keeps the default request shape
-            # bit-identical to pre-session serving.
+            # A group's composition decides its BLAS blocking, and so its
+            # seeded draws: session requests group apart from clean ones.
             key = (
                 item.candidates is None,
                 item.quality.shape[0],
@@ -734,16 +725,8 @@ class KDPPServer:
                 item.has_session,
             )
             groups.setdefault(key, []).append(item)
-        for (is_full, _, k, mode, has_session), members in groups.items():
-            if not has_session:
-                if is_full:
-                    self._serve_full_group(members, k, mode, responses, snap, stages)
-                else:
-                    self._serve_sliced_group(members, k, mode, responses, snap, stages)
-            elif is_full:
-                self._serve_full_session_group(members, k, mode, responses, snap, stages)
-            else:
-                self._serve_sliced_session_group(members, k, mode, responses, snap, stages)
+        for (_, _, k, mode, session), members in groups.items():
+            self._serve_group(members, k, mode, session, responses, snap, stages)
         return responses  # type: ignore[return-value]
 
     def _log_normalizers(
@@ -816,7 +799,7 @@ class KDPPServer:
         snap: CatalogSnapshot,
         stages: StageRecorder | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Dual spectra for a full-catalog request group.
+        """Dual spectra for a clean full-catalog request group.
 
         Constant-quality requests (``q_u = c``) are served straight from
         the catalog's version-cached spectrum — ``C_u = c² VᵀV``, so the
@@ -849,7 +832,7 @@ class KDPPServer:
                 duals = snap.build_duals(quality[general] ** 2)
             with stage_span(stages, "eigh"):
                 values, vectors = np.linalg.eigh(duals)
-            eigenvalues[general] = np.clip(values, 0.0, None)
+            eigenvalues[general] = clip_dual_spectrum(values)
             dual_vectors[general] = vectors
         return eigenvalues, dual_vectors
 
@@ -865,79 +848,118 @@ class KDPPServer:
         logdets = np.where(signs > 0, logdets, -np.inf)
         return logdets - log_normalizers
 
-    def _serve_full_group(
+    def _serve_group(
         self,
         members: list[_Resolved],
         k: int,
         mode: str,
+        session: bool,
         responses: list,
         snap: CatalogSnapshot,
         stages: StageRecorder | None = None,
     ) -> None:
-        factors = snap.factors
+        """Serve one group of same-shape requests over their ground sets.
+
+        A full-catalog ground set is all M items over the shared factors:
+        its duals come from :meth:`_group_spectra` (clean groups, which
+        may use the cached uniform-quality spectrum) or one
+        :meth:`CatalogSnapshot.build_duals` call, and history deflates
+        each dual two-sided, ``C̃ = (I-UUᵀ) C (I-UUᵀ)`` — an O(r²h)
+        correction whose positive-eigenvalue eigenvectors lie in the
+        deflated subspace, so the projector samplers draw from the
+        conditional k-DPP as-is.  A sliced ground set is the request's
+        gathered ``(N, r)`` stack rows, which history deflates directly
+        (``b̃_i = b_i(I - UUᵀ)``, the low-rank Schur complement of
+        conditioning) before the stacked duals are formed.  From there
+        one ``eigh``, the batched normalizers and one selection entry
+        point serve the group; session groups (history, pins, quotas)
+        run the constrained greedy MAP.
+        """
+        full = members[0].candidates is None
         quality = np.stack([member.quality for member in members])
-        eigenvalues, dual_vectors = self._group_spectra(quality, snap, stages)
+        stack = rows = units = None
+        if full and not session:
+            eigenvalues, vectors = self._group_spectra(quality, snap, stages)
+        else:
+            with stage_span(stages, "dual_build"):
+                if not full:
+                    candidates = np.stack([member.candidates for member in members])
+                    stack = quality[:, :, None] * snap.take_rows(candidates)
+                if session:
+                    rows = self._session_rows(members, snap, pins=full)
+                    units = self._history_units(members, rows)
+                if full:
+                    duals = snap.build_duals(quality**2)
+                for b, basis in enumerate(units or ()):
+                    if basis is None:
+                        continue
+                    if full:
+                        correction = duals[b] @ basis
+                        duals[b] -= correction @ basis.T
+                        duals[b] -= basis @ (
+                            correction.T - (basis.T @ correction) @ basis.T
+                        )
+                    else:
+                        stack[b] -= (stack[b] @ basis) @ basis.T
+                if not full:
+                    duals = np.matmul(np.swapaxes(stack, 1, 2), stack)
+            with stage_span(stages, "eigh"):
+                eigenvalues, vectors = np.linalg.eigh(duals)
+            eigenvalues = clip_dual_spectrum(eigenvalues)
         with stage_span(stages, "normalizer"):
             log_normalizers = self._log_normalizers(eigenvalues, members, k, mode)
         with stage_span(stages, "selection"):
             if mode == "sample":
                 rngs = [self._request_rng(member) for member in members]
                 coefficients = self._phase1_coefficients(
-                    eigenvalues, dual_vectors, k, rngs
+                    eigenvalues, vectors, k, rngs
                 )
-                samples = batched_sample_elementary_shared(
-                    factors, quality, coefficients, rngs
-                )
-            else:
+                if full:
+                    samples = batched_sample_elementary_shared(
+                        snap.factors, quality, coefficients, rngs
+                    )
+                else:
+                    samples = batched_sample_elementary_stacked(
+                        np.matmul(stack, coefficients), rngs
+                    )
+            elif not session and full:
                 fallbacks = self.map_fallbacks
                 samples = batched_greedy_map_shared(
-                    factors,
+                    snap.factors,
                     quality,
                     k,
                     item_norms=snap.extension("item_norms", _item_norms),
                     on_fallback=fallbacks.inc if fallbacks is not None else None,
                 )
-        with stage_span(stages, "emit"):
-            self._emit(
-                members, samples, log_normalizers, quality, None, k, responses, snap
-            )
-
-    def _serve_sliced_group(
-        self,
-        members: list[_Resolved],
-        k: int,
-        mode: str,
-        responses: list,
-        snap: CatalogSnapshot,
-        stages: StageRecorder | None = None,
-    ) -> None:
-        with stage_span(stages, "dual_build"):
-            candidates = np.stack([member.candidates for member in members])
-            local_quality = np.stack([member.quality for member in members])
-            stack = local_quality[:, :, None] * snap.take_rows(candidates)
-            duals = np.matmul(np.swapaxes(stack, 1, 2), stack)
-        with stage_span(stages, "eigh"):
-            eigenvalues, dual_vectors = np.linalg.eigh(duals)
-        eigenvalues = np.clip(eigenvalues, 0.0, None)
-        with stage_span(stages, "normalizer"):
-            log_normalizers = self._log_normalizers(eigenvalues, members, k, mode)
-        with stage_span(stages, "selection"):
-            if mode == "sample":
-                rngs = [self._request_rng(member) for member in members]
-                coefficients = self._phase1_coefficients(
-                    eigenvalues, dual_vectors, k, rngs
-                )
-                bases = np.matmul(stack, coefficients)
-                samples = batched_sample_elementary_stacked(bases, rngs)
-            else:
+            elif not session:
                 samples = batched_greedy_map_stacked(stack, k)
+            else:
+                if not full:
+                    # The stack rows are already history-deflated, so
+                    # only the (deflated) pinned rows seed the greedy.
+                    rows = [
+                        None if member.pins is None else stack[b, member.pins]
+                        for b, member in enumerate(members)
+                    ]
+                seeds, pins, quota = self._session_map_inputs(
+                    members, rows, snap.rank
+                )
+                if full:
+                    samples = batched_greedy_map_shared_session(
+                        snap.factors, quality, k, seeds=seeds, pins=pins, quota=quota
+                    )
+                else:
+                    samples = batched_greedy_map_stacked_session(
+                        stack, k, seeds=seeds, pins=pins, quota=quota
+                    )
         with stage_span(stages, "emit"):
             self._emit(
-                members, samples, log_normalizers, None, stack, k, responses, snap
+                members, samples, log_normalizers, quality, stack, units, k,
+                responses, snap,
             )
 
     # ------------------------------------------------------------------
-    # Session serving (history conditioning, pins, quotas)
+    # Session inputs (history conditioning, pins, quotas)
     # ------------------------------------------------------------------
     def _session_rows(
         self, members: list[_Resolved], snap: CatalogSnapshot, pins: bool
@@ -1006,146 +1028,26 @@ class KDPPServer:
         has_quota = any(spec is not None for spec in quota)
         return seeds, pins, (quota if has_quota else None)
 
-    def _serve_full_session_group(
-        self,
-        members: list[_Resolved],
-        k: int,
-        mode: str,
-        responses: list,
-        snap: CatalogSnapshot,
-        stages: StageRecorder | None = None,
-    ) -> None:
-        """The full-catalog group path for session requests.
-
-        One shared batched dual build exactly like the clean path, plus
-        an O(r²h) per-member deflation ``C̃ = (I-UUᵀ) C (I-UUᵀ)`` for
-        history conditioning — the eigenvectors of ``C̃`` with positive
-        eigenvalues lie in the deflated subspace, so the unchanged
-        projector samplers draw from the conditional k-DPP as-is.
-        """
-        factors = snap.factors
-        quality = np.stack([member.quality for member in members])
-        with stage_span(stages, "dual_build"):
-            rows = self._session_rows(members, snap, pins=True)
-            units = self._history_units(members, rows)
-            duals = snap.build_duals(quality**2)
-            for b, basis in enumerate(units):
-                if basis is not None:
-                    correction = duals[b] @ basis
-                    duals[b] -= correction @ basis.T
-                    duals[b] -= basis @ (
-                        correction.T - (basis.T @ correction) @ basis.T
-                    )
-        with stage_span(stages, "eigh"):
-            values, vectors = np.linalg.eigh(duals)
-        eigenvalues = np.clip(values, 0.0, None)
-        with stage_span(stages, "normalizer"):
-            log_normalizers = self._log_normalizers(eigenvalues, members, k, mode)
-        with stage_span(stages, "selection"):
-            if mode == "sample":
-                rngs = [self._request_rng(member) for member in members]
-                coefficients = self._phase1_coefficients(
-                    eigenvalues, vectors, k, rngs
-                )
-                samples = batched_sample_elementary_shared(
-                    factors, quality, coefficients, rngs
-                )
-            else:
-                seeds, pins, quota = self._session_map_inputs(
-                    members, rows, snap.rank
-                )
-                samples = batched_greedy_map_shared_session(
-                    factors, quality, k, seeds=seeds, pins=pins, quota=quota
-                )
-        with stage_span(stages, "emit"):
-            self._emit(
-                members,
-                samples,
-                log_normalizers,
-                quality,
-                None,
-                k,
-                responses,
-                snap,
-                units=units,
-            )
-
-    def _serve_sliced_session_group(
-        self,
-        members: list[_Resolved],
-        k: int,
-        mode: str,
-        responses: list,
-        snap: CatalogSnapshot,
-        stages: StageRecorder | None = None,
-    ) -> None:
-        """The candidate-slice group path for session requests: the
-        per-request factor stack rows are deflated against the history
-        span (``b̃_i = b_i(I - UUᵀ)``, the low-rank Schur complement of
-        conditioning), then the clean sliced machinery — stacked duals,
-        normalizers, projector sampling — applies verbatim; constrained
-        MAP runs the session greedy over the deflated stack."""
-        with stage_span(stages, "dual_build"):
-            candidates = np.stack([member.candidates for member in members])
-            local_quality = np.stack([member.quality for member in members])
-            stack = local_quality[:, :, None] * snap.take_rows(candidates)
-            units = self._history_units(
-                members, self._session_rows(members, snap, pins=False)
-            )
-            for b, basis in enumerate(units):
-                if basis is not None:
-                    stack[b] -= (stack[b] @ basis) @ basis.T
-            duals = np.matmul(np.swapaxes(stack, 1, 2), stack)
-        with stage_span(stages, "eigh"):
-            eigenvalues, dual_vectors = np.linalg.eigh(duals)
-        eigenvalues = np.clip(eigenvalues, 0.0, None)
-        with stage_span(stages, "normalizer"):
-            log_normalizers = self._log_normalizers(eigenvalues, members, k, mode)
-        with stage_span(stages, "selection"):
-            if mode == "sample":
-                rngs = [self._request_rng(member) for member in members]
-                coefficients = self._phase1_coefficients(
-                    eigenvalues, dual_vectors, k, rngs
-                )
-                bases = np.matmul(stack, coefficients)
-                samples = batched_sample_elementary_stacked(bases, rngs)
-            else:
-                seeds, pins, quota = self._session_map_inputs(
-                    members,
-                    [
-                        None if member.pins is None else stack[b, member.pins]
-                        for b, member in enumerate(members)
-                    ],
-                    snap.rank,
-                )
-                samples = batched_greedy_map_stacked_session(
-                    stack, k, seeds=seeds, pins=pins, quota=quota
-                )
-        with stage_span(stages, "emit"):
-            self._emit(
-                members, samples, log_normalizers, None, stack, k, responses, snap
-            )
-
     def _emit(
         self,
         members: list[_Resolved],
         samples: list[list[int]],
         log_normalizers: np.ndarray,
-        quality: np.ndarray | None,
+        quality: np.ndarray,
         stack: np.ndarray | None,
+        units: list | None,
         k: int,
         responses: list,
         snap: CatalogSnapshot,
-        units: list | None = None,
     ) -> None:
         """Attach log-probabilities and map local picks to catalog ids.
 
-        ``units`` (full-catalog session groups only) carries per-member
-        history deflation bases: selected rows are deflated before the
-        stacked ``slogdet`` so reported probabilities are those of the
-        history-*conditioned* kernel, matching the conditioned
-        normalizers.  Sliced session groups pass an already-deflated
-        ``stack`` instead.
+        Full-catalog groups (``stack=None``) rebuild the selected rows
+        from the shared factors and ``quality``, and deflate them by the
+        members' history ``units`` before the stacked ``slogdet``, so
+        reported probabilities are those of the history-*conditioned*
+        kernel, matching the conditioned normalizers.  Sliced groups
+        read the (already deflated) ``stack``.
         """
         complete = [
             b
@@ -1154,21 +1056,16 @@ class KDPPServer:
         ]
         log_probabilities: dict[int, float] = {}
         if complete:
+            picks = np.array([samples[b] for b in complete], dtype=np.int64)
+            members_index = np.asarray(complete)[:, None]
             if stack is None:
-                picks = np.array([samples[b] for b in complete], dtype=np.int64)
-                rows = snap.factors[picks] * quality[complete][
-                    np.arange(len(complete))[:, None], picks
-                ][:, :, None]
-                if units is not None:
-                    for j, b in enumerate(complete):
-                        basis = units[b]
-                        if basis is not None:
-                            rows[j] -= (rows[j] @ basis) @ basis.T
+                rows = snap.factors[picks] * quality[members_index, picks][:, :, None]
+                for j, b in enumerate(complete):
+                    basis = None if units is None else units[b]
+                    if basis is not None:
+                        rows[j] -= (rows[j] @ basis) @ basis.T
             else:
-                picks = np.array([samples[b] for b in complete], dtype=np.int64)
-                rows = stack[
-                    np.asarray(complete)[:, None], picks
-                ]
+                rows = stack[members_index, picks]
             values = self._group_log_probabilities(rows, log_normalizers[complete])
             log_probabilities = dict(zip(complete, values))
         for b, member in enumerate(members):
@@ -1222,33 +1119,30 @@ class KDPPServer:
                 factors = factors - (factors @ basis) @ basis.T
             lowrank = LowRankKernel(factors)
             if member.mode == "sample":
-                dpp = KDPP.from_factors(lowrank, member.k)
+                try:
+                    dpp = KDPP.from_factors(lowrank, member.k)
+                except ValueError as error:  # rank below k
+                    raise ValueError(f"request {i}: {error}") from None
                 local = dpp.sample(self._request_rng(member))
                 log_probability = dpp.log_subset_probability(local)
             else:
                 if member.pins is None and not member.quotas:
                     local = greedy_map(lowrank, member.k)
                 else:
-                    seeds = None
-                    if member.pins is not None:
-                        pin_basis = _orthonormal_columns(factors[member.pins])
-                        if pin_basis is not None:
-                            seeds = pin_basis.T[None]
-                    quota = None
-                    if member.quotas:
-                        quota = [(member.categories, member.quotas)]
+                    seeds, pins, quota = self._session_map_inputs(
+                        [member],
+                        [None if member.pins is None else factors[member.pins]],
+                        snap.rank,
+                    )
                     local = batched_greedy_map_stacked_session(
-                        factors[None],
-                        member.k,
-                        seeds=seeds,
-                        pins=[member.pins],
-                        quota=quota,
+                        factors[None], member.k, seeds=seeds, pins=pins, quota=quota
                     )[0]
-                if len(local) == member.k:
+                log_probability = None
+                complete = len(local) == member.k
+                # A rank-deficient kernel has no k-DPP to report against.
+                if complete and np.count_nonzero(lowrank.eigh_dual()[0]) >= member.k:
                     dpp = KDPP.from_factors(lowrank, member.k)
                     log_probability = dpp.log_subset_probability(local)
-                else:
-                    log_probability = None
             if member.candidates is None:
                 items = [int(item) for item in local]
             else:

@@ -65,7 +65,7 @@ from ..retrieval import CandidateSource, ExactTopK, FunnelCache
 from ..retrieval.cache import session_token
 from ..utils.topk import top_k_indices_rows
 from .catalog import CatalogSnapshot, VersionedExtensions
-from .config import UNSET, ServingConfig, resolve_config
+from .config import ServingConfig
 from .observability import StageRecorder, stage_span
 from .server import (
     KDPPServer,
@@ -263,24 +263,9 @@ class ShardedKDPPServer(KDPPServer):
     """
 
     def __init__(
-        self,
-        catalog: ShardedCatalog,
-        funnel_width: int = UNSET,
-        rerank_pool: int = UNSET,
-        source: CandidateSource | None = UNSET,
-        funnel_cache: FunnelCache | None = UNSET,
-        config: ServingConfig | None = None,
+        self, catalog: ShardedCatalog, config: ServingConfig | None = None
     ) -> None:
-        config = resolve_config(
-            config,
-            {
-                "funnel_width": funnel_width,
-                "rerank_pool": rerank_pool,
-                "source": source,
-                "funnel_cache": funnel_cache,
-            },
-            type(self).__name__,
-        )
+        config = config if config is not None else ServingConfig()
         super().__init__(catalog, config=config)  # type: ignore[arg-type]
         self.funnel_width = config.funnel_width
         self.source = config.source if config.source is not None else ExactTopK()

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import Tensor, check_gradient
-from repro.dpp import esp as esp_module
 from repro.dpp.esp import (
     differentiable_esps,
     differentiable_log_esp,

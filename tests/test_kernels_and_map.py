@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import greedy_map_reference
 
 from repro.autodiff import Tensor, check_gradient
 from repro.dpp import (
@@ -11,7 +12,6 @@ from repro.dpp import (
     gaussian_similarity_kernel,
     gaussian_similarity_kernel_np,
     greedy_map,
-    greedy_map_reference,
     identity_quality,
     quality_diversity_kernel,
     quality_diversity_kernel_np,

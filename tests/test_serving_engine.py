@@ -33,6 +33,7 @@ from repro.serving import (
     KDPPServer,
     RecommenderBridge,
     Request,
+    ServingConfig,
     quality_from_scores,
 )
 from repro.serving.catalog import GRAM_PRODUCTS_MIN_BATCH
@@ -417,7 +418,7 @@ def test_server_request_validation(world):
             [Request(quality=good, k=2, mode="topk-rerank", candidates=np.arange(5))]
         )
     with pytest.raises(ValueError):
-        KDPPServer(catalog, rerank_pool=0)
+        KDPPServer(catalog, config=ServingConfig(rerank_pool=0))
 
 
 def test_server_uniform_quality_served_from_cached_spectrum(world):

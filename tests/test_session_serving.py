@@ -28,14 +28,12 @@ from repro.serving import (
     KDPPServer,
     RecommenderBridge,
     Request,
-    Response,
     ServingConfig,
     ServingRuntime,
     Session,
     ShardedCatalog,
     ShardedKDPPServer,
 )
-from repro.serving.config import resolve_config
 from repro.serving.server import extend_pool_for_constraints
 from repro.utils.topk import top_k_indices
 
@@ -560,29 +558,6 @@ def test_serving_config_validates_and_replaces():
             ServingConfig(**bad)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.rerank_pool = 5
-
-
-def test_legacy_kwargs_warn_and_config_conflicts_raise():
-    factors = _factors(38, 40, 6)
-    catalog = ItemCatalog(factors)
-    sharded_catalog = ShardedCatalog(factors, num_shards=2)
-    with pytest.warns(DeprecationWarning, match="KDPPServer"):
-        server = KDPPServer(catalog, rerank_pool=17)
-    assert server.rerank_pool == 17 and server.config.rerank_pool == 17
-    with pytest.warns(DeprecationWarning, match="ShardedKDPPServer"):
-        sharded = ShardedKDPPServer(sharded_catalog, funnel_width=9)
-    assert sharded.funnel_width == 9
-    with pytest.warns(DeprecationWarning, match="ServingRuntime"):
-        runtime = ServingRuntime(catalog, workers=0)
-    runtime.close()
-    with pytest.raises(ValueError, match="not both"):
-        KDPPServer(catalog, rerank_pool=17, config=ServingConfig())
-    with pytest.raises(ValueError, match="not both"):
-        resolve_config(ServingConfig(), {"workers": 2}, "Owner")
-    # Old validation error text still reachable through the shim.
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="funnel_width must be positive"):
-            ShardedKDPPServer(sharded_catalog, funnel_width=0)
 
 
 def test_runtime_from_config_builds_the_whole_stack():

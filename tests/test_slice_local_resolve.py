@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import sliced_request_oracle
 
-from repro.dpp.kdpp import KDPP
-from repro.dpp.kernels import LowRankKernel
 from repro.retrieval import ExactTopK, QuantileFunnel
 from repro.serving import (
     ItemCatalog,
@@ -251,48 +250,6 @@ def test_quantile_pools_match_exact_pools_on_non_finite_and_negative_quality():
 # ----------------------------------------------------------------------
 # Slice-local resolve parity against a full-catalog oracle
 # ----------------------------------------------------------------------
-def _log_esp(eigenvalues: np.ndarray, k: int) -> float:
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for value in eigenvalues:
-        e[1:] = e[1:] + value * e[:-1].copy()
-    return float(np.log(e[k]))
-
-
-def _oracle(factors, request):
-    """Slate and log-probability from the full catalog vector: zero the
-    excluded and shown items, raise to ``1/alpha``, then slice."""
-    quality = np.asarray(request.quality, dtype=np.float64).copy()
-    quality[np.asarray(request.exclude)] = 0.0
-    quality[np.asarray(request.history)] = 0.0
-    quality = np.minimum(quality ** (1.0 / request.alpha), 1e150)
-    candidates = np.asarray(request.candidates)
-    rows = quality[candidates][:, None] * factors[candidates]
-    u, s, _ = np.linalg.svd(factors[np.asarray(request.history)].T, full_matrices=False)
-    basis = u[:, s > 1e-10 * s[0]]
-    rows = rows - (rows @ basis) @ basis.T
-    if request.mode == "sample":
-        kdpp = KDPP.from_factors(LowRankKernel(rows), request.k)
-        local = [int(i) for i in kdpp.sample(np.random.default_rng(request.seed))]
-    else:
-        # Brute-force determinant greedy seeded with the pins.
-        local = [int(np.flatnonzero(candidates == pin)[0]) for pin in request.pins]
-        while len(local) < request.k:
-            best, best_value = None, -np.inf
-            for i in range(candidates.shape[0]):
-                if i in local or quality[candidates[i]] <= 0:
-                    continue
-                chosen = rows[local + [i]]
-                sign, value = np.linalg.slogdet(chosen @ chosen.T)
-                if sign > 0 and value > best_value:
-                    best, best_value = i, value
-            local.append(best)
-    chosen = rows[local]
-    _, log_det = np.linalg.slogdet(chosen @ chosen.T)
-    log_normalizer = _log_esp(np.linalg.eigvalsh(rows.T @ rows).clip(0.0), request.k)
-    return [int(candidates[i]) for i in local], log_det - log_normalizer
-
-
 def _slice_requests(seed: int) -> list[Request]:
     rng = np.random.default_rng(seed)
     requests = []
@@ -337,7 +294,7 @@ def test_slice_local_resolve_matches_full_catalog_oracle(seed):
     ):
         for serve in (server.serve, server.serve_sequential):
             for request, response in zip(requests, serve(requests)):
-                items, log_probability = _oracle(factors, request)
+                items, log_probability = sliced_request_oracle(factors, request)
                 assert response.items == items
                 assert response.log_probability == pytest.approx(
                     log_probability, rel=1e-8, abs=1e-8

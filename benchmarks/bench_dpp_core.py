@@ -7,7 +7,6 @@ gradient agreement check.
 """
 
 import numpy as np
-import pytest
 
 from repro.autodiff import Tensor
 from repro.dpp import (

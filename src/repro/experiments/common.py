@@ -41,7 +41,7 @@ from ..losses import (
     SetRankCriterion,
     make_lkp_variant,
 )
-from ..losses.lkp import LKP_VARIANTS, LkPCriterion
+from ..losses.lkp import LKP_VARIANTS
 from ..models import (
     GCMCRecommender,
     GCNRecommender,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .common import CellResult
 
 __all__ = ["render_table", "render_improvements", "render_rework_table"]

@@ -9,19 +9,25 @@ versions.  Each snapshot precomputes everything requests can reuse:
 * the ``r × r`` Gram ``VᵀV`` and its eigendecomposition, built lazily
   and exactly once per version;
 * the symmetric outer-product table ``P[m] = vec(v_m v_mᵀ)`` (upper
-  triangle), which turns a group of at least ``GRAM_PRODUCTS_MIN_BATCH``
-  dual kernels ``C_u = Vᵀ Diag(q_u²) V = Σ_m q_um² v_m v_mᵀ`` into a
-  single ``(B, M) @ (M, r(r+1)/2)`` matmul.  Smaller groups build each
-  dual directly from ``V`` and never touch the table.
+  triangle), which turns at least ``GRAM_PRODUCTS_MIN_BATCH`` dual
+  kernels ``C_u = Vᵀ Diag(q_u²) V = Σ_m q_um² v_m v_mᵀ`` into a single
+  ``(B, M) @ (M, r(r+1)/2)`` matmul.  The serving engine makes one
+  :meth:`CatalogSnapshot.build_duals` call per batch, over all of the
+  batch's full-catalog rows that need a dual; fewer rows than the
+  threshold are built directly from ``V`` and never touch the table.
+  The table is built lazily, on the first call that reads it, by
+  filling a preallocated array in place.
 
 Hot-swap contract (the serving runtime relies on it): a snapshot is a
 plain immutable object, so a reader that captured one — via
 :meth:`ItemCatalog.snapshot` — keeps serving from it no matter how many
 :meth:`ItemCatalog.refresh` calls happen meanwhile.  ``refresh`` is
-double-buffered: it fully builds the new snapshot *before* publishing it
-with one reference assignment, and keeps the previous snapshot alive so
-in-flight readers never race a teardown.  Response caches and spectrum
-caches key on the version token alone.
+double-buffered: it validates, copies and freezes the new factors
+*before* publishing them with one reference assignment, and keeps the
+previous snapshot alive so in-flight readers never race a teardown.
+The new snapshot's derived state starts empty and is built on first
+use.  Response caches and spectrum caches key on the version token
+alone.
 """
 
 from __future__ import annotations
@@ -35,12 +41,19 @@ from ..dpp.kernels import clip_dual_spectrum
 
 __all__ = ["CatalogSnapshot", "ItemCatalog", "VersionedExtensions"]
 
-#: smallest request group whose dual kernels are built from the
-#: outer-product table.  One table matmul reads all ``M r(r+1)/2``
-#: entries whatever the group size, while a direct ``(V q_b)ᵀ(V q_b)``
-#: reads only ``M r`` per request; at M=2e4, r=32 on one BLAS thread the
-#: direct route wins below four requests and ties at four.
+#: fewest rows of one :meth:`CatalogSnapshot.build_duals` call — the
+#: serving engine makes one per batch, so this counts a batch's
+#: full-catalog rows that need a dual — built from the outer-product
+#: table.  One table matmul reads all ``M r(r+1)/2`` entries whatever
+#: the row count, while a direct ``(V q_b)ᵀ(V q_b)`` reads only ``M r``
+#: per row; at M=2e4, r=32 on one BLAS thread the direct route wins
+#: below four rows and ties at four.
 GRAM_PRODUCTS_MIN_BATCH = 4
+
+#: item rows per tile of the outer-product table fill: a tile's factor
+#: rows and its ``r(r+1)/2``-wide slice of the table (1 MB at r=32) stay
+#: in cache across the tile's ``r`` broadcast multiplies
+_FILL_TILE_ROWS = 256
 
 #: distinguishes "extension never built" from a legitimately-None build
 #: result (e.g. an IVF index declining a too-small shard)
@@ -174,14 +187,16 @@ class CatalogSnapshot(VersionedExtensions):
         ``gram_products()[0][m]`` is the upper triangle of ``v_m v_mᵀ``,
         so a batch of dual kernels is one matmul:
         ``C_stack[b][triu] = (q_b²) @ table``.  Costs ``M r²/2 · 8``
-        bytes (≈ 84 MB at M=20k, r=32).  :meth:`build_duals` builds it
-        on the first group of at least ``GRAM_PRODUCTS_MIN_BATCH``
-        requests and reads it only for such groups; it is reused for
-        the lifetime of the version.  Raises when the table would exceed
-        ``GRAM_PRODUCTS_MAX_BYTES``.
+        bytes (≈ 84 MB at M=20k, r=32).  It is built once per version,
+        on the first :meth:`build_duals` call of at least
+        ``GRAM_PRODUCTS_MIN_BATCH`` rows, by filling a preallocated
+        table in place: per tile of item rows, ``r`` broadcast multiplies
+        ``v_m[i] · v_m[i:]``, one per row of the upper triangle.  The
+        build allocates nothing but the table, and each entry is the
+        same single product as ``V[:, rows] * V[:, cols]``.  Raises when
+        the table would exceed ``GRAM_PRODUCTS_MAX_BYTES``.
         """
         if self._gram_products is None:
-            rows, cols = self._triu
             table_bytes = self._gram_products_bytes()
             if table_bytes > self.GRAM_PRODUCTS_MAX_BYTES:
                 raise ValueError(
@@ -192,22 +207,38 @@ class CatalogSnapshot(VersionedExtensions):
                 )
             with self._lock:
                 if self._gram_products is None:
-                    self._gram_products = np.ascontiguousarray(
-                        self._factors[:, rows] * self._factors[:, cols]
-                    )
+                    self._gram_products = self._fill_gram_products()
         return self._gram_products, self._triu
 
+    def _fill_gram_products(self) -> np.ndarray:
+        factors, rank = self._factors, self.rank
+        table = np.empty((self.num_items, self._triu[0].shape[0]), dtype=np.float64)
+        for start in range(0, self.num_items, _FILL_TILE_ROWS):
+            block = factors[start : start + _FILL_TILE_ROWS]
+            tile = table[start : start + _FILL_TILE_ROWS]
+            column = 0
+            for i in range(rank):
+                width = rank - i
+                np.multiply(
+                    block[:, i : i + 1], block[:, i:], out=tile[:, column : column + width]
+                )
+                column += width
+        return table
+
     def build_duals(self, squared_quality: np.ndarray) -> np.ndarray:
-        """All dual kernels ``C_b = Vᵀ Diag(q_b²) V`` of a request group.
+        """The dual kernels ``C_b = Vᵀ Diag(q_b²) V`` of a stack of rows.
 
         ``squared_quality`` is the ``(B, M)`` stack of ``q_b²``; returns
-        the symmetric ``(B, r, r)`` dual-kernel stack.  A group of at
-        least ``GRAM_PRODUCTS_MIN_BATCH`` requests is one matmul against
-        :meth:`gram_products` (building the table on first use).  Smaller
-        groups, and any group whose table would exceed
+        the symmetric ``(B, r, r)`` dual-kernel stack.  The serving
+        engine calls this once per batch, over every full-catalog row
+        that needs a dual, whatever its mode, ``k`` or session state.
+        At least ``GRAM_PRODUCTS_MIN_BATCH`` rows are one matmul against
+        :meth:`gram_products` (building the table on first use).  Fewer
+        rows, and any stack whose table would exceed
         ``GRAM_PRODUCTS_MAX_BYTES``, compute each ``(V q_b)ᵀ(V q_b)``
         directly through one reused ``(M, r)`` buffer, without reading or
-        building the table.
+        building the table.  Either route computes each row's dual
+        independently of the other rows.
         """
         squared_quality = np.asarray(squared_quality, dtype=np.float64)
         batch = squared_quality.shape[0]
@@ -273,12 +304,13 @@ class ItemCatalog:
     def refresh(self, factors: np.ndarray) -> int:
         """Publish new factors under the next version; returns the version.
 
-        Double-buffered: the new snapshot is fully constructed (validated,
-        copied, frozen) before a single reference assignment makes it the
-        served version, and the displaced snapshot is kept as the back
-        buffer so readers that captured it finish against intact state.
-        Per-version caches (Gram, spectrum, outer-product table) start
-        empty on the new snapshot — invalidation is creation.
+        Double-buffered: the new factors are validated, copied and frozen
+        before a single reference assignment makes them the served
+        version, and the displaced snapshot is kept as the back buffer
+        so readers that captured it finish against intact state.  The
+        new snapshot's per-version caches (Gram, spectrum, outer-product
+        table, extensions) start empty and are built on first use —
+        invalidation is creation.
         """
         factors = np.asarray(factors)
         if factors.ndim != 2 or factors.shape[0] != self.num_items:

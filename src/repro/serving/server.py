@@ -6,11 +6,12 @@ lists.  Per Eq. 2 a request only reweights the shared factors — its
 kernel is ``L_u = Diag(q_u) V Vᵀ Diag(q_u)`` — so the whole batch shares
 every catalog-sized computation:
 
-* all dual kernels ``C_u = Vᵀ Diag(q_u²) V`` come from one
-  :meth:`ItemCatalog.build_duals` call — a ``(B, M)``-by-table matmul
-  for groups of four or more, a direct ``(V q_u)ᵀ(V q_u)`` per request
-  below that;
-* one stacked ``eigh`` factorizes every request's dual;
+* all full-catalog dual kernels ``C_u = Vᵀ Diag(q_u²) V`` of a batch —
+  every mode, ``k`` and session state — come from one
+  :meth:`CatalogSnapshot.build_duals` call: a ``(B, M)``-by-table matmul
+  for four or more rows, a direct ``(V q_u)ᵀ(V q_u)`` per request below
+  that;
+* one stacked ``eigh`` factorizes every full-catalog request's dual;
 * one :func:`~repro.dpp.esp.batched_log_esp` produces every Eq. 6
   normalizer, heterogeneous ``k`` included;
 * sampling and greedy MAP run vectorized across the batch, and neither
@@ -91,7 +92,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -545,6 +546,18 @@ class _Resolved:
         )
 
 
+class _Spectrum(NamedTuple):
+    """A full-catalog request's clipped dual spectrum, with the session
+    inputs its group reuses: the history-and-pin factor rows and the
+    orthonormal history basis its dual was deflated by (``None`` when
+    the request has none)."""
+
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    seed_rows: np.ndarray | None = None
+    history_unit: np.ndarray | None = None
+
+
 class KDPPServer:
     """Batched k-DPP recommendation engine over one :class:`ItemCatalog`,
     configured by ``config=ServingConfig(...)`` (it reads
@@ -712,6 +725,9 @@ class KDPPServer:
                 self._resolve(request, i, snap, validated)
                 for i, request in enumerate(requests)
             ]
+        spectra = self._full_catalog_spectra(
+            [item for item in resolved if item.candidates is None], snap, stages
+        )
         responses: list[Response | None] = [None] * len(resolved)
         groups: dict[tuple, list[_Resolved]] = {}
         for item in resolved:
@@ -726,7 +742,9 @@ class KDPPServer:
             )
             groups.setdefault(key, []).append(item)
         for (_, _, k, mode, session), members in groups.items():
-            self._serve_group(members, k, mode, session, responses, snap, stages)
+            self._serve_group(
+                members, k, mode, session, responses, snap, spectra, stages
+            )
         return responses  # type: ignore[return-value]
 
     def _log_normalizers(
@@ -793,48 +811,60 @@ class KDPPServer:
         coefficients = np.take_along_axis(dual_vectors, chosen[:, None, :], axis=2)
         return coefficients / np.sqrt(selected)[:, None, :]
 
-    def _group_spectra(
+    def _full_catalog_spectra(
         self,
-        quality: np.ndarray,
+        members: list[_Resolved],
         snap: CatalogSnapshot,
         stages: StageRecorder | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dual spectra for a clean full-catalog request group.
+    ) -> dict[int, _Spectrum]:
+        """Dual spectra of a batch's full-catalog requests, keyed by
+        request index.
 
-        Constant-quality requests (``q_u = c``) are served straight from
-        the catalog's version-cached spectrum — ``C_u = c² VᵀV``, so the
-        cached eigenvectors apply verbatim and the eigenvalues only
-        rescale.  Everything else goes through one
-        :meth:`CatalogSnapshot.build_duals` call and one stacked ``eigh``
-        over the non-uniform rows; the build reads (and on first use
-        builds) the outer-product table only when at least
-        ``GRAM_PRODUCTS_MIN_BATCH`` rows are non-uniform, and computes
-        each dual directly otherwise.
+        Clean constant-quality requests (``q_u = c``) are served straight
+        from the catalog's version-cached spectrum — ``C_u = c² VᵀV``, so
+        the cached eigenvectors apply verbatim and the eigenvalues only
+        rescale.  Every other request, whatever its mode, ``k`` or
+        session state, goes through one :meth:`CatalogSnapshot.build_duals`
+        call, so the outer-product table is read at most once per batch.
+        History deflates each session dual two-sided,
+        ``C̃ = (I-UUᵀ) C (I-UUᵀ)`` — an O(r²h) correction whose
+        positive-eigenvalue eigenvectors lie in the deflated subspace,
+        so the projector samplers draw from the conditional k-DPP as-is
+        — before one stacked ``eigh`` over all built rows.  Each row's
+        dual and spectrum are computed independently of the others, so
+        a request's spectrum does not depend on its batch-mates beyond
+        the table-or-direct route their count picks.
         """
-        batch, _ = quality.shape
-        rank = snap.rank
-        uniform_scale = np.full(batch, -1.0)
-        for b in range(batch):
-            first = quality[b, 0]
-            if first > 0 and np.all(quality[b] == first):
-                uniform_scale[b] = first
-        eigenvalues = np.empty((batch, rank))
-        dual_vectors = np.empty((batch, rank, rank))
-        uniform = uniform_scale > 0
-        if np.any(uniform):
-            cached_values, cached_vectors = snap.dual_spectrum()
-            scales = uniform_scale[uniform]
-            eigenvalues[uniform] = scales[:, None] ** 2 * cached_values
-            dual_vectors[uniform] = cached_vectors
-        general = ~uniform
-        if np.any(general):
-            with stage_span(stages, "dual_build"):
-                duals = snap.build_duals(quality[general] ** 2)
-            with stage_span(stages, "eigh"):
-                values, vectors = np.linalg.eigh(duals)
-            eigenvalues[general] = clip_dual_spectrum(values)
-            dual_vectors[general] = vectors
-        return eigenvalues, dual_vectors
+        spectra: dict[int, _Spectrum] = {}
+        built = []
+        for member in members:
+            first = member.quality[0]
+            if not member.has_session and first > 0 and np.all(member.quality == first):
+                values, vectors = snap.dual_spectrum()
+                spectra[member.index] = _Spectrum(first * first * values, vectors)
+            else:
+                built.append(member)
+        if not built:
+            return spectra
+        with stage_span(stages, "dual_build"):
+            rows = self._session_rows(built, snap, pins=True)
+            units = self._history_units(built, rows)
+            squared = np.stack([member.quality for member in built])
+            np.square(squared, out=squared)
+            duals = snap.build_duals(squared)
+            for b, basis in enumerate(units):
+                if basis is not None:
+                    correction = duals[b] @ basis
+                    duals[b] -= correction @ basis.T
+                    duals[b] -= basis @ (
+                        correction.T - (basis.T @ correction) @ basis.T
+                    )
+        with stage_span(stages, "eigh"):
+            eigenvalues, vectors = np.linalg.eigh(duals)
+        eigenvalues = clip_dual_spectrum(eigenvalues)
+        for b, member in enumerate(built):
+            spectra[member.index] = _Spectrum(eigenvalues[b], vectors[b], rows[b], units[b])
+        return spectra
 
     def _group_log_probabilities(
         self,
@@ -856,53 +886,43 @@ class KDPPServer:
         session: bool,
         responses: list,
         snap: CatalogSnapshot,
+        spectra: dict[int, _Spectrum],
         stages: StageRecorder | None = None,
     ) -> None:
         """Serve one group of same-shape requests over their ground sets.
 
         A full-catalog ground set is all M items over the shared factors:
-        its duals come from :meth:`_group_spectra` (clean groups, which
-        may use the cached uniform-quality spectrum) or one
-        :meth:`CatalogSnapshot.build_duals` call, and history deflates
-        each dual two-sided, ``C̃ = (I-UUᵀ) C (I-UUᵀ)`` — an O(r²h)
-        correction whose positive-eigenvalue eigenvectors lie in the
-        deflated subspace, so the projector samplers draw from the
-        conditional k-DPP as-is.  A sliced ground set is the request's
-        gathered ``(N, r)`` stack rows, which history deflates directly
-        (``b̃_i = b_i(I - UUᵀ)``, the low-rank Schur complement of
-        conditioning) before the stacked duals are formed.  From there
-        one ``eigh``, the batched normalizers and one selection entry
-        point serve the group; session groups (history, pins, quotas)
-        run the constrained greedy MAP.
+        its members' spectra (and session inputs) come from ``spectra``,
+        which :meth:`_full_catalog_spectra` built for the whole batch.  A
+        sliced ground set is the request's gathered ``(N, r)`` stack
+        rows, which history deflates directly (``b̃_i = b_i(I - UUᵀ)``,
+        the low-rank Schur complement of conditioning) before the stacked
+        duals are formed and factorized by one ``eigh``.  From there the
+        batched normalizers and one selection entry point serve the
+        group; session groups (history, pins, quotas) run the
+        constrained greedy MAP.
         """
         full = members[0].candidates is None
         quality = np.stack([member.quality for member in members])
         stack = rows = units = None
-        if full and not session:
-            eigenvalues, vectors = self._group_spectra(quality, snap, stages)
+        if full:
+            parts = [spectra[member.index] for member in members]
+            eigenvalues = np.stack([part.eigenvalues for part in parts])
+            vectors = np.stack([part.vectors for part in parts])
+            if session:
+                rows = [part.seed_rows for part in parts]
+                units = [part.history_unit for part in parts]
         else:
             with stage_span(stages, "dual_build"):
-                if not full:
-                    candidates = np.stack([member.candidates for member in members])
-                    stack = quality[:, :, None] * snap.take_rows(candidates)
+                candidates = np.stack([member.candidates for member in members])
+                stack = quality[:, :, None] * snap.take_rows(candidates)
                 if session:
-                    rows = self._session_rows(members, snap, pins=full)
+                    rows = self._session_rows(members, snap, pins=False)
                     units = self._history_units(members, rows)
-                if full:
-                    duals = snap.build_duals(quality**2)
-                for b, basis in enumerate(units or ()):
-                    if basis is None:
-                        continue
-                    if full:
-                        correction = duals[b] @ basis
-                        duals[b] -= correction @ basis.T
-                        duals[b] -= basis @ (
-                            correction.T - (basis.T @ correction) @ basis.T
-                        )
-                    else:
-                        stack[b] -= (stack[b] @ basis) @ basis.T
-                if not full:
-                    duals = np.matmul(np.swapaxes(stack, 1, 2), stack)
+                    for b, basis in enumerate(units):
+                        if basis is not None:
+                            stack[b] -= (stack[b] @ basis) @ basis.T
+                duals = np.matmul(np.swapaxes(stack, 1, 2), stack)
             with stage_span(stages, "eigh"):
                 eigenvalues, vectors = np.linalg.eigh(duals)
             eigenvalues = clip_dual_spectrum(eigenvalues)

@@ -61,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..retrieval import CandidateSource, ExactTopK, FunnelCache
+from ..retrieval import ExactTopK
 from ..retrieval.cache import session_token
 from ..utils.topk import top_k_indices_rows
 from .catalog import CatalogSnapshot, VersionedExtensions

@@ -35,6 +35,14 @@ def greedy_map_reference(kernel: np.ndarray, k: int) -> list[int]:
     return selected
 
 
+def gram_products_reference(factors: np.ndarray) -> np.ndarray:
+    """The ``(M, r(r+1)/2)`` outer-product table by two fancy-index
+    gathers: row ``m`` is the upper triangle of ``v_m v_mᵀ``, row-major,
+    each entry the single product ``v_m[i] * v_m[j]``."""
+    rows, cols = np.triu_indices(factors.shape[1])
+    return factors[:, rows] * factors[:, cols]
+
+
 def _log_esp(eigenvalues: np.ndarray, k: int) -> float:
     e = np.zeros(k + 1)
     e[0] = 1.0

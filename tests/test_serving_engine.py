@@ -10,8 +10,11 @@ contract against *manually built* per-user references (not just
 ``serve_sequential``), plus the catalog/bridge plumbing around it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import gram_products_reference
 
 from repro.dpp import (
     KDPP,
@@ -96,6 +99,26 @@ def test_catalog_gram_products_refuses_wide_factors(monkeypatch):
     monkeypatch.setattr(CatalogSnapshot, "GRAM_PRODUCTS_MAX_BYTES", 1024)
     with pytest.raises(ValueError, match="outer-product table"):
         catalog.gram_products()
+
+
+@pytest.mark.parametrize("rank", [1, 7, 32])
+def test_catalog_gram_products_fill_in_place_matches_the_gather(rank):
+    # An item count that is not a multiple of the fill tile covers the
+    # ragged last tile.
+    m = 2 * catalog_module._FILL_TILE_ROWS + 37
+    snap = ItemCatalog(_factors(5, m, rank)).snapshot()
+    reference = gram_products_reference(snap.factors)
+    tracemalloc.start()
+    try:
+        table, _ = snap.gram_products()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == reference.shape
+    assert table.tobytes() == reference.tobytes()
+    # the table is the build's only allocation: no gathered temporaries
+    tile_bytes = catalog_module._FILL_TILE_ROWS * table.shape[1] * 8
+    assert peak <= table.nbytes + tile_bytes
 
 
 def test_catalog_refresh_keeps_item_axis():
@@ -515,6 +538,62 @@ def test_small_groups_serve_the_same_slates_as_table_groups():
             assert response.log_probability == pytest.approx(
                 log_probability, rel=1e-9
             )
+
+
+def test_batch_builds_its_full_catalog_duals_in_one_call(monkeypatch):
+    # Every full-catalog row that needs a dual — across modes, k values
+    # and clean/session groups — goes through one build_duals call per
+    # batch; uniform-quality rows use the cached spectrum and sliced rows
+    # their own stack, so neither reaches the build.
+    m, r = 1500, 16
+    factors = _factors(44, m, r)
+    quality = _quality_batch(45, 6, m)
+    groups = [
+        [Request(quality=quality[b], k=5, mode="sample", seed=90 + b) for b in (0, 1)],
+        [Request(quality=quality[b], k=4, mode="map") for b in (2, 3)],
+        [Request(quality=quality[4], k=4, mode="map", history=[3, 800, 1400])],
+        [Request(quality=np.full(m, 1.3), k=5, mode="sample", seed=95)],
+        [
+            Request(
+                quality=quality[5], k=4, mode="sample", seed=96,
+                candidates=np.arange(100, 400),
+            )
+        ],
+    ]
+    batch = [request for group in groups for request in group]
+    calls = []
+    build_duals = CatalogSnapshot.build_duals
+
+    def spy(snap, squared_quality):
+        calls.append(np.array(squared_quality))
+        return build_duals(snap, squared_quality)
+
+    monkeypatch.setattr(CatalogSnapshot, "build_duals", spy)
+    server = KDPPServer(ItemCatalog(factors))
+    merged = server.serve(batch)
+    (built,) = calls
+    expected = quality[:5].copy()
+    expected[4, [3, 800, 1400]] = 0.0  # shown items leave the ground set
+    assert built.tobytes() == (expected**2).tobytes()
+    assert built.shape[0] >= GRAM_PRODUCTS_MIN_BATCH
+
+    # Served alone, each group reads the table too (unit threshold), so
+    # its duals — and every log-probability — are byte-equal; on the
+    # direct route they agree to round-off.
+    solo = {}
+    for threshold in (1, GRAM_PRODUCTS_MIN_BATCH):
+        monkeypatch.setattr(catalog_module, "GRAM_PRODUCTS_MIN_BATCH", threshold)
+        solo[threshold] = [
+            response
+            for group in groups
+            for response in KDPPServer(ItemCatalog(factors)).serve(group)
+        ]
+    for response, table, direct in zip(merged, solo[1], solo[GRAM_PRODUCTS_MIN_BATCH]):
+        assert response.items == table.items == direct.items
+        assert response.log_probability == table.log_probability
+        assert response.log_probability == pytest.approx(
+            direct.log_probability, rel=1e-12
+        )
 
 
 def test_wide_factor_batches_serve_without_the_table(monkeypatch):

@@ -70,8 +70,8 @@ log-probability per audited slate, from the pinned snapshot's factor
 rows), post-publish canary comparisons (:class:`CanaryReport`,
 ``canary_regression`` events), windowed drift detection
 (:class:`DriftDetector`), declarative :class:`SLO` objectives with
-fast/slow burn-rate evaluation (:class:`SLOTracker`), the
-:class:`AlertSink` callback channel, and
+fast/slow burn-rate evaluation (:class:`SLOTracker`), alerts recorded
+as events that ``ServingConfig.alert_sink`` subscribes to, and
 :meth:`~repro.serving.runtime.ServingRuntime.health` returning a
 :class:`HealthStatus` verdict.
 
@@ -80,15 +80,16 @@ Performance introspection (PR 10) lives in
 :mod:`repro.utils.profiling`: a continuous sampling profiler
 (``ServingConfig.profile_hz`` → :class:`SamplingProfiler` folding
 ``sys._current_frames()`` samples into a bounded :class:`StackProfile`,
-stage-attributed through the :class:`StageRegistry` the stage-span
-machinery updates), per-version memory accounting
+stage-attributed through the :class:`StageRegistry` each batch's stage
+recorder updates), per-version memory accounting
 (:meth:`~repro.serving.runtime.ServingRuntime.footprint` →
 :class:`FootprintReport`), the :class:`CapacityModel` behind
 :meth:`~repro.serving.runtime.ServingRuntime.headroom`
 (:class:`HeadroomReport` — utilization and predicted saturation from
-the affine batch-cost fit), and the opt-in :func:`attach_logging`
-bridge replaying the event log as structured stdlib ``logging``
-records.
+the affine batch-cost fit; the same model keeps the per-mode cost
+estimates deadline budgets degrade against), and the opt-in
+:func:`attach_logging` bridge replaying the event log as structured
+stdlib ``logging`` records.
 """
 
 from .bridge import RecommenderBridge, quality_from_scores
@@ -99,7 +100,6 @@ from .health import (
     HEALTHY,
     SLO,
     UNHEALTHY,
-    AlertSink,
     CanaryReport,
     DriftDetector,
     HealthStatus,
@@ -190,7 +190,6 @@ __all__ = [
     "SLO",
     "SLOTracker",
     "HealthStatus",
-    "AlertSink",
     "DriftDetector",
     "WindowedStat",
     "HEALTHY",

@@ -56,56 +56,53 @@ class ServingConfig:
         :class:`~repro.serving.resilience.OverloadError`, ``"degrade"``
         (the default policy) admits the request with queue-pressure
         rungs that walk it down the degradation ladder.
-    publish_retries / publish_backoff:
-        Retry budget for transient :meth:`ServingRuntime.publish`
-        failures (:class:`~repro.serving.resilience.TransientError`):
-        up to ``publish_retries`` retries with exponential backoff
-        starting at ``publish_backoff`` seconds (slept through the
-        injected clock when it is a manual one).
+    publish_backoff:
+        First backoff of the retries of transient
+        :meth:`ServingRuntime.publish` failures
+        (:class:`~repro.serving.resilience.TransientError`): up to
+        :data:`~repro.serving.runtime.PUBLISH_RETRIES` retries with
+        exponential backoff starting at ``publish_backoff`` seconds
+        (slept through the injected clock when it is a manual one).
     fault_plan:
         An optional :class:`~repro.serving.resilience.FaultPlan`; the
         runtime wires its deterministic fault hooks through the whole
         stack (chaos tests and the overload benchmark only — leave
         ``None`` in production).
-    trace_rate / event_log_capacity:
-        Observability (:mod:`repro.serving.observability`).
-        ``trace_rate`` is the fraction of submitted requests that carry
-        a per-stage :class:`~repro.serving.observability.Trace`
-        (deterministic credit sampling, no RNG consumed); the default
-        ``0.0`` keeps the serving path bit-identical to the
-        un-instrumented stack, seeded samples included.
-        ``event_log_capacity`` bounds the runtime's ring-buffer
-        :class:`~repro.serving.observability.EventLog` of degradations,
-        sheds, breaker transitions and publishes.
-    audit_rate / audit_window:
-        Product-health auditing (:mod:`repro.serving.health`).
-        ``audit_rate`` is the fraction of served responses whose slate
-        quality (quality mass, ILAD, log-probability, length) is
-        measured post-serve by the
+    trace_rate:
+        Observability (:mod:`repro.serving.observability`): the
+        fraction of submitted requests that carry a per-stage
+        :class:`~repro.serving.observability.Trace` (deterministic credit
+        sampling, no RNG consumed); the default ``0.0`` keeps the
+        serving path bit-identical to the un-instrumented stack, seeded
+        samples included.
+    audit_rate:
+        Product-health auditing (:mod:`repro.serving.health`): the
+        fraction of served responses whose slate quality (quality mass,
+        ILAD, log-probability, length) is measured post-serve by the
         :class:`~repro.serving.health.ResponseAuditor` — the same
         deterministic credit sampling as ``trace_rate``, so the default
         ``0.0`` stays bit-identical, seeded samples included.
-        ``audit_window`` bounds the per-version
-        :class:`~repro.serving.health.WindowedStat` audit windows.
-    canary_min_audits / canary_tolerance:
+    canary_min_audits:
         Publish canaries: a :meth:`ServingRuntime.publish` arms a
         comparison of the new version's audit windows against the
         pre-swap baseline once both sides hold ``canary_min_audits``
-        audited responses; a metric moving beyond ``canary_tolerance``
-        in the bad direction emits a ``canary_regression`` event +
-        alert (see :class:`~repro.serving.health.CanaryReport` for the
-        per-metric direction rules).
-    drift_window / drift_threshold:
+        audited responses; a metric moving beyond
+        :data:`~repro.serving.health.CANARY_TOLERANCE` in the bad
+        direction records a ``canary_regression`` event (see
+        :class:`~repro.serving.health.CanaryReport` for the per-metric
+        direction rules).
+    drift_window:
         Drift detection over audited quality mass and ILAD:
-        reference-vs-current windows of ``drift_window`` samples, a
-        mean shift beyond ``drift_threshold`` pooled standard errors
-        (with a relative floor) emits a ``drift`` event.
+        reference-vs-current windows of ``drift_window`` samples; a
+        mean shift beyond :data:`~repro.serving.health.DRIFT_THRESHOLD`
+        pooled standard errors (with a relative floor) records a
+        ``drift`` event.
     profile_hz:
         Continuous sampling profiler (:mod:`repro.serving.profiling`).
         The background sampling rate, in stack samples per second, of
         the runtime's :class:`~repro.utils.profiling.SamplingProfiler`;
         sampled stacks are attributed to the active engine stage via
-        the thread→stage registry the ``stage_span`` machinery updates.
+        the thread→stage registry every batch's stage recorder updates.
         The default ``0.0`` starts no sampler thread and keeps the
         serving path bit-identical, seeded samples included — the same
         parity contract as ``trace_rate`` / ``audit_rate``.
@@ -116,9 +113,11 @@ class ServingConfig:
         SLOs and ``runtime.health()`` reports from canary/drift flags
         alone.
     alert_sink:
-        Optional ``callable(alert: dict)`` receiving every canary /
-        drift / SLO-burn alert (wired into the runtime's
-        :class:`~repro.serving.health.AlertSink`).
+        Optional ``callable(event: dict)`` subscribed to the runtime's
+        :class:`~repro.serving.observability.EventLog` for the
+        :data:`~repro.serving.health.ALERT_KINDS` — each
+        ``canary_regression``, ``drift`` and ``slo_burn`` event, as
+        recorded.  A raising callback is swallowed.
     """
 
     rerank_pool: int = 100
@@ -131,17 +130,12 @@ class ServingConfig:
     funnel_cache: Any | None = None
     queue_cap: int | None = None
     overload_policy: str = "degrade"
-    publish_retries: int = 2
     publish_backoff: float = 0.05
     fault_plan: Any | None = None
     trace_rate: float = 0.0
-    event_log_capacity: int = 1024
     audit_rate: float = 0.0
-    audit_window: int = 256
     canary_min_audits: int = 32
-    canary_tolerance: float = 0.1
     drift_window: int = 128
-    drift_threshold: float = 3.0
     profile_hz: float = 0.0
     slos: Any | None = None
     alert_sink: Callable[[dict], None] | None = None
@@ -173,10 +167,6 @@ class ServingConfig:
                 "overload_policy must be 'reject' or 'degrade', "
                 f"got {self.overload_policy!r}"
             )
-        if self.publish_retries < 0:
-            raise ValueError(
-                f"publish_retries must be non-negative, got {self.publish_retries}"
-            )
         if self.publish_backoff < 0:
             raise ValueError(
                 f"publish_backoff must be non-negative, got {self.publish_backoff}"
@@ -185,36 +175,18 @@ class ServingConfig:
             raise ValueError(
                 f"trace_rate must be in [0, 1], got {self.trace_rate}"
             )
-        if self.event_log_capacity < 1:
-            raise ValueError(
-                f"event_log_capacity must be positive, "
-                f"got {self.event_log_capacity}"
-            )
         if not 0.0 <= self.audit_rate <= 1.0:
             raise ValueError(
                 f"audit_rate must be in [0, 1], got {self.audit_rate}"
-            )
-        if self.audit_window < 2:
-            raise ValueError(
-                f"audit_window must be >= 2, got {self.audit_window}"
             )
         if self.canary_min_audits < 1:
             raise ValueError(
                 f"canary_min_audits must be positive, "
                 f"got {self.canary_min_audits}"
             )
-        if self.canary_tolerance <= 0:
-            raise ValueError(
-                f"canary_tolerance must be positive, "
-                f"got {self.canary_tolerance}"
-            )
         if self.drift_window < 2:
             raise ValueError(
                 f"drift_window must be >= 2, got {self.drift_window}"
-            )
-        if self.drift_threshold <= 0:
-            raise ValueError(
-                f"drift_threshold must be positive, got {self.drift_threshold}"
             )
         if self.profile_hz < 0:
             raise ValueError(

@@ -9,7 +9,7 @@ quantities on every :meth:`~repro.serving.runtime.ServingRuntime.publish`
 — or drift slowly as quality models age.  Four pieces:
 
 **ResponseAuditor** — ``ServingConfig.audit_rate`` drives the same
-deterministic credit-accumulator sampling as ``trace_rate`` (no RNG
+:class:`~repro.utils.metrics.CreditSampler` as ``trace_rate`` (no RNG
 consumed, so ``audit_rate=0`` keeps seeded sample streams bit-identical
 — parity-pinned).  An audited response costs O(k²·r) *after* the engine
 batch resolves: slate quality mass, intra-list distance (ILAD — the
@@ -17,20 +17,23 @@ batch resolves: slate quality mass, intra-list distance (ILAD — the
 snapshot's factor rows), mean pairwise cosine similarity, the slate's
 ``log_probability``, its length, and degradation/alpha context — all
 feeding ``slate_quality_*`` histograms labeled ``{mode, degraded,
-version}`` plus bounded per-version :class:`WindowedStat` windows.
+version}`` plus bounded per-version :class:`WindowedStat` windows of
+:data:`AUDIT_WINDOW` samples.
 
 **Publish canaries** — the runtime snapshots the pre-swap version's
 audit windows as a baseline before every publish; once the new version
 accrues ``canary_min_audits`` audited responses, a :class:`CanaryReport`
 compares quality mass, ILAD, log-probability, p99 service latency and
-degradation rate against that baseline and emits a ``canary_regression``
-event + alert when any metric regresses beyond ``canary_tolerance``.
+degradation rate against that baseline and records a
+``canary_regression`` event when any metric regresses beyond
+:data:`CANARY_TOLERANCE`.
 
 **Drift detection** — a :class:`DriftDetector` per audited metric holds
-bounded reference-vs-current ring buffers (running moments) and runs
-a simple mean-shift test (pooled standard error, with a relative floor
-so stationary noise stays quiet); a shift emits a ``drift`` event and
-flags :meth:`ResponseAuditor.health_reasons` until the metric settles.
+two :class:`WindowedStat` windows, a frozen reference and a rolling
+current one, and runs a simple mean-shift test (pooled standard error
+beyond :data:`DRIFT_THRESHOLD`, with a relative floor so stationary
+noise stays quiet); a shift records a ``drift`` event and flags
+:meth:`ResponseAuditor.health_reasons` until the metric settles.
 
 **SLOTracker** — declarative :class:`SLO` objectives (latency target,
 error rate, degradation/shed rate, availability) evaluated on the
@@ -38,8 +41,12 @@ error rate, degradation/shed rate, availability) evaluated on the
 convention: page when the error budget burns on both horizons, warn
 when only one is hot).  ``runtime.health()`` folds the SLO verdicts and
 the auditor's canary/drift flags into one :class:`HealthStatus`
-(``healthy`` / ``degraded`` / ``unhealthy`` with reasons); alerts fan
-out through an :class:`AlertSink` callback channel.
+(``healthy`` / ``degraded`` / ``unhealthy`` with reasons).
+
+Alerts are events: the ``slo_burn``, ``drift`` and ``canary_regression``
+kinds (:data:`ALERT_KINDS`) land in the runtime's
+:class:`~repro.serving.observability.EventLog` like every other event,
+and ``ServingConfig.alert_sink`` is subscribed to them there.
 
 Nothing here touches the batch critical path: auditing runs after the
 engine call returns, sampling consumes no randomness, and every window
@@ -56,7 +63,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..utils.metrics import MetricsRegistry
+from ..utils.metrics import CreditSampler, MetricsRegistry
 from .observability import EventLog
 
 __all__ = [
@@ -66,7 +73,7 @@ __all__ = [
     "HealthStatus",
     "WindowedStat",
     "DriftDetector",
-    "AlertSink",
+    "ALERT_KINDS",
     "SLO",
     "SLOTracker",
     "CanaryReport",
@@ -79,6 +86,18 @@ DEGRADED = "degraded"
 UNHEALTHY = "unhealthy"
 
 _STATUS_SEVERITY = {HEALTHY: 0, DEGRADED: 1, UNHEALTHY: 2}
+
+#: the event kinds ``ServingConfig.alert_sink`` is subscribed to
+ALERT_KINDS = ("slo_burn", "drift", "canary_regression")
+
+#: samples each per-version audit window keeps
+AUDIT_WINDOW = 256
+
+#: relative move (absolute for degradation rate) a canary tolerates
+CANARY_TOLERANCE = 0.1
+
+#: pooled standard errors a drift mean shift must exceed
+DRIFT_THRESHOLD = 3.0
 
 
 @dataclass(frozen=True)
@@ -190,13 +209,14 @@ class WindowedStat:
 class DriftDetector:
     """Mean-shift detection over reference-vs-current sample windows.
 
-    The first ``window`` samples freeze into the *reference*; later
-    samples roll through the *current* window.  Once current is full,
-    every new sample re-runs a simple two-sample mean test: drift fires
-    when the mean gap exceeds ``threshold`` pooled standard errors *and*
-    a relative floor (``min_shift`` of the reference mean's magnitude) —
-    the floor is what keeps tight stationary distributions quiet under
-    repeated testing.  On a firing the reference rebases to the current
+    The first ``window`` samples freeze into the *reference*
+    :class:`WindowedStat`; later samples roll through the *current* one
+    (each add O(1) through the windows' running moments).  Once current
+    is full, every new sample re-runs a simple two-sample mean test:
+    drift fires when the mean gap exceeds ``threshold`` pooled standard
+    errors *and* a relative floor (``min_shift`` of the reference mean's
+    magnitude) — the floor is what keeps tight stationary distributions
+    quiet under repeated testing.  On a firing the reference rebases to the current
     window (so one regime change fires once, not forever) and the
     detector stays ``flagged`` until a post-rebase full window passes.
     """
@@ -219,40 +239,22 @@ class DriftDetector:
         self.threshold = float(threshold)
         self.min_shift = float(min_shift)
         self._lock = threading.Lock()
-        # Plain rings + running moments under ONE lock: the detector
-        # re-tests on every audited sample, so this is a hot path.
-        self._reference: deque[float] = deque()
-        self._current: deque[float] = deque()
-        self._ref_sum = 0.0
-        self._ref_sumsq = 0.0
-        self._cur_sum = 0.0
-        self._cur_sumsq = 0.0
+        self._reference = WindowedStat(self.window)
+        self._current = WindowedStat(self.window)
         self.fired = 0
         self.flagged = False
 
     def add(self, value: float) -> dict | None:
         """Feed one sample; returns the drift record when a shift fires."""
-        value = float(value)
-        n = self.window
         with self._lock:
-            if len(self._reference) < n:
-                self._reference.append(value)
-                self._ref_sum += value
-                self._ref_sumsq += value * value
+            if not self._reference.full:
+                self._reference.add(value)
                 return None
-            if len(self._current) == n:
-                evicted = self._current.popleft()
-                self._cur_sum -= evicted
-                self._cur_sumsq -= evicted * evicted
-            self._current.append(value)
-            self._cur_sum += value
-            self._cur_sumsq += value * value
-            if len(self._current) < n:
+            self._current.add(value)
+            if not self._current.full:
                 return None
-            ref_mean = self._ref_sum / n
-            cur_mean = self._cur_sum / n
-            ref_var = max(self._ref_sumsq / n - ref_mean * ref_mean, 0.0)
-            cur_var = max(self._cur_sumsq / n - cur_mean * cur_mean, 0.0)
+            n, ref_mean, ref_var = self._reference.moments()
+            _, cur_mean, cur_var = self._current.moments()
             pooled_stderr = ((ref_var + cur_var) / n) ** 0.5
             delta = abs(cur_mean - ref_mean)
             floor = self.min_shift * max(abs(ref_mean), 1e-12)
@@ -261,12 +263,9 @@ class DriftDetector:
                 self.flagged = True
                 # Rebase: the new regime becomes the reference, so a
                 # single shift fires once and recovery is observable.
-                self._reference = self._current
-                self._ref_sum = self._cur_sum
-                self._ref_sumsq = self._cur_sumsq
-                self._current = deque()
-                self._cur_sum = 0.0
-                self._cur_sumsq = 0.0
+                stale = self._reference
+                stale.clear()
+                self._reference, self._current = self._current, stale
                 return {
                     "metric": self.metric,
                     "reference_mean": ref_mean,
@@ -282,69 +281,9 @@ class DriftDetector:
                 "metric": self.metric,
                 "fired": self.fired,
                 "flagged": self.flagged,
-                "reference_mean": (
-                    self._ref_sum / len(self._reference) if self._reference else None
-                ),
-                "current_mean": (
-                    self._cur_sum / len(self._current) if self._current else None
-                ),
+                "reference_mean": self._reference.mean(),
+                "current_mean": self._current.mean(),
             }
-
-
-class AlertSink:
-    """The alert fan-out channel: bounded retention + callbacks.
-
-    Canary regressions, drift firings and SLO burns all land here as
-    structured dicts; ``subscribe`` callbacks (e.g. a pager shim, or the
-    ``ServingConfig.alert_sink`` callable) fire synchronously on the
-    emitting thread.  A raising callback is swallowed — alerting must
-    never take the serving path down.
-    """
-
-    def __init__(
-        self,
-        callback: Callable[[dict], None] | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        keep: int = 64,
-    ) -> None:
-        if keep < 1:
-            raise ValueError(f"keep must be positive, got {keep}")
-        self._clock = clock
-        self._lock = threading.Lock()
-        self.alerts: deque[dict] = deque(maxlen=keep)
-        self._callbacks: list[Callable[[dict], None]] = []
-        self._emitted = 0
-        if callback is not None:
-            self._callbacks.append(callback)
-
-    def subscribe(self, callback: Callable[[dict], None]) -> None:
-        with self._lock:
-            self._callbacks.append(callback)
-
-    def emit(self, kind: str, **fields) -> dict:
-        alert = {"kind": kind, "time": self._clock(), **fields}
-        with self._lock:
-            self._emitted += 1
-            self.alerts.append(alert)
-            callbacks = list(self._callbacks)
-        for callback in callbacks:
-            try:
-                callback(alert)
-            except Exception:  # pragma: no cover - defensive
-                pass
-        return alert
-
-    def snapshot(self, kind: str | None = None) -> list[dict]:
-        with self._lock:
-            alerts = list(self.alerts)
-        if kind is not None:
-            alerts = [alert for alert in alerts if alert["kind"] == kind]
-        return alerts
-
-    @property
-    def emitted(self) -> int:
-        with self._lock:
-            return self._emitted
 
 
 # ----------------------------------------------------------------------
@@ -470,8 +409,8 @@ class SLOTracker:
     hook), evaluated on demand against the *injected* clock — so burn
     math is exact and deterministic under a
     :class:`~repro.utils.timing.ManualClock`.  Breach transitions are
-    edge-triggered into the event log (``slo_burn`` / ``slo_recovered``)
-    and the alert sink; per-window burn rates land in the registry's
+    edge-triggered into the event log (``slo_burn`` / ``slo_recovered``);
+    per-window burn rates land in the registry's
     ``slo_burn_rate{slo, window}`` gauge family.
     """
 
@@ -481,7 +420,6 @@ class SLOTracker:
         clock: Callable[[], float] = time.monotonic,
         registry: MetricsRegistry | None = None,
         event_log: EventLog | None = None,
-        alert_sink: AlertSink | None = None,
         segments: int = 12,
     ) -> None:
         for slo in slos:
@@ -493,7 +431,6 @@ class SLOTracker:
         self.objectives: tuple[SLO, ...] = tuple(slos)
         self._clock = clock
         self._event_log = event_log
-        self._alert_sink = alert_sink
         self._lock = threading.Lock()
         self._windows: dict[str, dict[str, _RateWindow]] = {
             slo.name: {
@@ -583,19 +520,10 @@ class SLOTracker:
                     self._burn_gauge.labels(
                         slo=evaluation["name"], window=window
                     ).set(evaluation[f"{window}_burn"])
-        for slo, breached, evaluation in transitions:
-            kind = "slo_burn" if breached else "slo_recovered"
-            if self._event_log is not None:
+        if self._event_log is not None:
+            for slo, breached, evaluation in transitions:
                 self._event_log.record(
-                    kind,
-                    slo=slo.name,
-                    objective=slo.objective,
-                    slow_burn=evaluation["slow_burn"],
-                    fast_burn=evaluation["fast_burn"],
-                )
-            if breached and self._alert_sink is not None:
-                self._alert_sink.emit(
-                    "slo_burn",
+                    "slo_burn" if breached else "slo_recovered",
                     slo=slo.name,
                     objective=slo.objective,
                     slow_burn=evaluation["slow_burn"],
@@ -745,10 +673,12 @@ class ResponseAuditor:
     slate-quality metrics from the *pinned* snapshot's factor rows (the
     exact factors the slate was served from, even mid-hot-swap).
 
-    Sampling mirrors the trace sampler: a deterministic credit
-    accumulator, no RNG consumed, so ``audit_rate=0`` leaves seeded
-    sample streams bit-identical (parity-pinned) and any rate is
-    reproducible under the manual-clock test harness.
+    Sampling is the trace sampler's :class:`CreditSampler`, no RNG
+    consumed, so ``audit_rate=0`` leaves seeded sample streams
+    bit-identical (parity-pinned) and any rate is reproducible under the
+    manual-clock test harness.  The version-labeled ``runtime_*``
+    families it reads are declared by the resilient layer, which must
+    already have registered them on ``registry``.
     """
 
     #: distinct catalog versions whose audit windows stay retained
@@ -760,13 +690,9 @@ class ResponseAuditor:
         event_log: EventLog,
         clock: Callable[[], float] = time.monotonic,
         audit_rate: float = 0.0,
-        window: int = 256,
         canary_min_audits: int = 32,
-        canary_tolerance: float = 0.1,
         drift_window: int = 128,
-        drift_threshold: float = 3.0,
         slo_tracker: SLOTracker | None = None,
-        alert_sink: AlertSink | None = None,
     ) -> None:
         if not 0.0 <= audit_rate <= 1.0:
             raise ValueError(f"audit_rate must be in [0, 1], got {audit_rate}")
@@ -774,48 +700,26 @@ class ResponseAuditor:
             raise ValueError(
                 f"canary_min_audits must be positive, got {canary_min_audits}"
             )
-        if not 0.0 < canary_tolerance:
-            raise ValueError(
-                f"canary_tolerance must be positive, got {canary_tolerance}"
-            )
-        self.rate = float(audit_rate)
-        self.window = int(window)
+        self._sampler = CreditSampler(audit_rate)
         self.canary_min_audits = int(canary_min_audits)
-        self.canary_tolerance = float(canary_tolerance)
         self._clock = clock
         self._event_log = event_log
-        self._registry = registry
         self._slo_tracker = slo_tracker
-        self._alert_sink = alert_sink
         self._lock = threading.Lock()
-        self._credit = 0.0
         self._audited_total = 0
         self._label_cache: dict[tuple, tuple] = {}
         self._windows: dict[int, _VersionWindows] = {}
         self._canary: _PendingCanary | None = None
         self._last_canary: CanaryReport | None = None
         self._drift = {
-            name: DriftDetector(name, window=drift_window, threshold=drift_threshold)
+            name: DriftDetector(name, window=drift_window, threshold=DRIFT_THRESHOLD)
             for name in ("quality_mass", "ilad")
         }
-        # The hot-path per-version families resilience.py increments;
-        # get-or-create hands the auditor the same objects to *read*
-        # (degradation rate, p99 service time) for canary comparisons.
-        self._served_by_version = registry.counter(
-            "runtime_served_total",
-            "responses served, labeled by catalog version",
-            labelnames=("version",),
-        )
-        self._degraded_by_version = registry.counter(
-            "runtime_degraded_total",
-            "degraded (incl. shed) responses, labeled by catalog version",
-            labelnames=("version",),
-        )
-        self._request_seconds = registry.histogram(
-            "runtime_request_seconds",
-            "per-request engine service time, labeled by catalog version",
-            labelnames=("version",),
-        )
+        # The hot-path per-version families the resilient layer
+        # increments, read here for canary comparisons.
+        self._served_by_version = registry.get("runtime_served_total")
+        self._degraded_by_version = registry.get("runtime_degraded_total")
+        self._request_seconds = registry.get("runtime_request_seconds")
         labels = ("mode", "degraded", "version")
         self._audited_counter = registry.counter(
             "slate_audits_total", "responses audited", labelnames=labels
@@ -845,21 +749,9 @@ class ResponseAuditor:
             buckets=list(range(1, 33)),
         )
 
-    # ------------------------------------------------------------- sampling
-    def _take_credit(self) -> bool:
-        """The deterministic credit accumulator (the trace sampler's
-        twin): at rate r exactly every 1/r-th response audits."""
-        rate = self.rate
-        if rate <= 0.0:
-            return False
-        if rate >= 1.0:
-            return True
-        with self._lock:
-            self._credit += rate
-            if self._credit >= 1.0:
-                self._credit -= 1.0
-                return True
-        return False
+    @property
+    def rate(self) -> float:
+        return self._sampler.rate
 
     def _labeled(self, mode: str, degraded: bool, version: int):
         """Resolved metric children for one label combination, cached —
@@ -910,7 +802,7 @@ class ResponseAuditor:
                     error=error,
                     degraded=degraded,
                 )
-            if not error and self._take_credit():
+            if not error and self._sampler.take():
                 audits.append((item.request, result))
         if audits:
             measurements = self._slate_measurements(audits, snapshot)
@@ -972,7 +864,7 @@ class ResponseAuditor:
         with self._lock:
             windows = self._windows.get(version)
             if windows is None:
-                windows = _VersionWindows(self.window)
+                windows = _VersionWindows(AUDIT_WINDOW)
                 self._windows[version] = windows
                 while len(self._windows) > self.MAX_VERSION_WINDOWS:
                     del self._windows[min(self._windows)]
@@ -991,8 +883,6 @@ class ResponseAuditor:
             record = self._drift[name].add(value)
             if record is not None:
                 self._event_log.record("drift", **record)
-                if self._alert_sink is not None:
-                    self._alert_sink.emit("drift", **record)
 
     # ----------------------------------------------------------- aggregates
     def aggregate(self, version: int) -> dict:
@@ -1031,12 +921,6 @@ class ResponseAuditor:
         return out
 
     # -------------------------------------------------------------- canary
-    def canary_baseline(self, version: int) -> dict:
-        """Freeze the pre-swap version's audit windows (publish calls
-        this *before* the catalog swap, so audits landing during the
-        publish cannot retroactively move the baseline)."""
-        return self.aggregate(version)
-
     def arm_canary(self, baseline: dict, version: int) -> bool:
         """Arm the post-publish comparison; returns False (recording a
         ``canary_skipped`` event) when the baseline never accrued
@@ -1079,7 +963,7 @@ class ResponseAuditor:
                 name,
                 pending.baseline.get(name),
                 current.get(name),
-                self.canary_tolerance,
+                CANARY_TOLERANCE,
             )
             metrics[name] = entry
             if regressed:
@@ -1088,7 +972,7 @@ class ResponseAuditor:
             baseline_version=pending.baseline_version,
             version=pending.version,
             audits=current["audits"],
-            tolerance=self.canary_tolerance,
+            tolerance=CANARY_TOLERANCE,
             metrics=metrics,
             regressions=tuple(regressions),
         )
@@ -1112,14 +996,6 @@ class ResponseAuditor:
                 regressions=list(report.regressions),
                 deltas=details,
             )
-            if self._alert_sink is not None:
-                self._alert_sink.emit(
-                    "canary_regression",
-                    baseline_version=report.baseline_version,
-                    version=report.version,
-                    regressions=list(report.regressions),
-                    deltas=details,
-                )
 
     @property
     def last_canary(self) -> CanaryReport | None:

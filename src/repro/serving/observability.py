@@ -21,17 +21,24 @@ through the *injected clock* at each lifecycle stage: queue wait at the
 resilient layer's entry, ``funnel`` / ``source`` in the sharded
 lowering, ``resolve`` / ``dual_build`` / ``eigh`` / ``normalizer`` /
 ``selection`` / ``emit`` inside the engine.  Engine stages are batch
-phases — every member of a dispatched batch waits on the whole batch,
-so a batch phase *is* part of each member's latency, and the
-:class:`StageRecorder` therefore attaches the same span to every traced
-member.  The finished trace rides out on ``Response.trace``;
-degradations, sheds, deadline failures, breaker transitions and
-publishes are additionally recorded into the bounded ring-buffer
-:class:`EventLog`.
+phases, timed for *every* engine batch by one :class:`StageRecorder`
+(the runtime hands one to each batch; a direct ``serve`` call makes its
+own): they feed the ``serving_stage_seconds`` histogram, and because
+every member of a batch waits on the whole batch, the recorder attaches
+the same spans to every traced member.  The finished trace rides out on
+``Response.trace``.
 
-Sampling is deterministic — a credit accumulator, not an RNG — because
+Sampling is deterministic — a
+:class:`~repro.utils.metrics.CreditSampler`, not an RNG — because
 consuming random numbers on the serving path would perturb the seeded
 sample streams the parity tests pin.
+
+**Events** — degradations, sheds, deadline failures, breaker
+transitions, publishes, canary verdicts, drift and SLO burns are
+recorded into the bounded ring-buffer :class:`EventLog`.  Alerts are
+events too: :meth:`EventLog.subscribe` fires a callback at record time
+for the kinds it names (``ServingConfig.alert_sink`` subscribes to
+:data:`~repro.serving.health.ALERT_KINDS`).
 
 **RuntimeTelemetry** — the facade merging every scattered ``stats()``
 dict (scheduler, resilience, retrieval, faults, catalog) into one
@@ -48,9 +55,9 @@ import os
 import platform
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from collections import deque
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from ..utils.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
@@ -62,7 +69,6 @@ __all__ = [
     "Span",
     "Trace",
     "StageRecorder",
-    "stage_span",
     "EventLog",
     "RuntimeTelemetry",
     "MetricsReporter",
@@ -109,6 +115,9 @@ def telemetry_meta() -> dict:
 
 
 _TELEMETRY_META: dict | None = None
+
+#: events an :class:`EventLog` retains by default
+EVENT_LOG_CAPACITY = 1024
 
 
 class Span:
@@ -240,14 +249,14 @@ class Trace:
 
 
 class StageRecorder:
-    """Collects batch-phase spans once, to be fanned out per trace.
+    """Collects one batch's phase spans: the one stage-timing spine.
 
     The engine serves a whole batch through shared phases (one dual
-    build, one stacked ``eigh``); creating one recorder per dispatched
-    batch — only when the batch holds at least one traced request —
-    keeps instrumentation off the untraced fast path entirely.  Every
-    member of the batch waited on every phase, so :meth:`extend_trace`
-    attaches the full recorded list to each traced member.
+    build, one stacked ``eigh``) and times each through
+    :meth:`stage`; every engine batch carries a recorder, so the
+    per-stage histogram covers every batch, traced or not.  Every member
+    of the batch waited on every phase, so :meth:`extend_trace` attaches
+    the full recorded list to each traced member.
 
     When the runtime profiles (``ServingConfig.profile_hz > 0``) a
     :class:`~repro.utils.profiling.StageRegistry` rides along: every
@@ -299,25 +308,22 @@ class StageRecorder:
         return sum(end - start for n, start, end, _ in self.spans if n == name)
 
 
-def stage_span(recorder: StageRecorder | None, name: str, nested: bool = False):
-    """``with stage_span(stages, "eigh"): ...`` — a no-op context when no
-    recorder rides along (the untraced path pays one ``is None``)."""
-    if recorder is None:
-        return nullcontext()
-    return recorder.stage(name, nested=nested)
-
-
 class EventLog:
     """Bounded ring buffer of notable serving moments.
 
-    Degradations, sheds, deadline failures, breaker transitions and
-    publishes land here with a sequence number and an injected-clock
-    timestamp; the buffer holds the last ``capacity`` events (drops are
-    counted, never silent).  Thread-safe — workers record concurrently.
+    Degradations, sheds, deadline failures, breaker transitions,
+    publishes, canary verdicts, drift and SLO burns land here with a
+    sequence number and an injected-clock timestamp; the buffer holds the
+    last ``capacity`` events (drops are counted, never silent).
+    :meth:`subscribe` callbacks see each event of their kinds as it is
+    recorded — that is how alerts fan out.  Thread-safe — workers record
+    concurrently.
     """
 
     def __init__(
-        self, capacity: int = 1024, clock: Callable[[], float] = time.monotonic
+        self,
+        capacity: int = EVENT_LOG_CAPACITY,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -326,6 +332,21 @@ class EventLog:
         self._lock = threading.Lock()
         self._events: deque[dict] = deque(maxlen=self.capacity)
         self._recorded = 0
+        self._callback_errors = 0
+        self._subscribers: list[tuple[Callable[[dict], None], frozenset | None]] = []
+
+    def subscribe(
+        self, callback: Callable[[dict], None], kinds: Sequence[str] | None = None
+    ) -> None:
+        """Call ``callback(event)`` with a copy of every event recorded
+        from now on whose kind is in ``kinds`` (every kind when
+        ``None``), synchronously on the recording thread.  A raising
+        callback is swallowed — alerting never fails a request — and
+        counted in :meth:`stats` as ``callback_errors``."""
+        entry = (callback, None if kinds is None else frozenset(kinds))
+        with self._lock:
+            # Copy-on-write: record() iterates the list outside the lock.
+            self._subscribers = [*self._subscribers, entry]
 
     def record(self, kind: str, **fields) -> dict:
         event = {"kind": kind, "time": self._clock(), **fields}
@@ -333,6 +354,14 @@ class EventLog:
             self._recorded += 1
             event["seq"] = self._recorded
             self._events.append(event)
+            subscribers = self._subscribers
+        for callback, kinds in subscribers:
+            if kinds is None or kind in kinds:
+                try:
+                    callback(dict(event))
+                except Exception:
+                    with self._lock:
+                        self._callback_errors += 1
         return event
 
     def snapshot(
@@ -373,6 +402,7 @@ class EventLog:
                 "recorded": self._recorded,
                 "retained": len(self._events),
                 "dropped": self._recorded - len(self._events),
+                "callback_errors": self._callback_errors,
             }
 
 

@@ -7,8 +7,8 @@ health verdicts) cannot give:
   sampling profiler (:class:`~repro.utils.profiling.SamplingProfiler`
   at ``ServingConfig.profile_hz``) attributes ``sys._current_frames()``
   samples to the active stage span via a
-  :class:`~repro.utils.profiling.StageRegistry` the
-  ``StageRecorder``/``stage_span`` machinery keeps updated — so
+  :class:`~repro.utils.profiling.StageRegistry` every batch's
+  ``StageRecorder`` keeps updated — so
   "selection is 76 ms" decomposes into the actual numpy callees,
   exportable as collapsed-stack text.
 * **What is the memory actually holding?**  :func:`collect_footprint`
@@ -17,16 +17,16 @@ health verdicts) cannot give:
   and the bridge LRU — nbytes via numpy, per version and per structure
   — plus RSS sampling, so a publish-driven leak (an old version pinned
   by in-flight requests) is one ``telemetry()`` read away.
-* **How much headroom is left?**  :class:`CapacityModel` fuses the
-  resilient layer's per-batch timings (the same window that feeds the
-  EWMA ``ModeCostModel`` and the ``serving_stage_seconds`` histograms)
-  with the observed batch-size distribution into a saturation estimate:
-  engine batch cost is modeled as ``fixed + per_request × B`` (the
-  dual-path structure — one matmul + one stacked ``eigh`` amortize over
-  the batch), so max sustainable req/s at the current mix falls out of
-  the fit.  ``runtime.headroom()`` reports utilization and predicted
-  saturation; the profiling benchmark validates the estimate within
-  ±30% of the measured closed-loop knee.
+* **How much headroom is left, and what does a mode cost?**
+  :class:`CapacityModel` is the one cost model: fed the resilient
+  layer's per-batch timings, it fits engine batch cost as
+  ``fixed + per_request × B`` (the dual-path structure — one matmul +
+  one stacked ``eigh`` amortize over the batch), so max sustainable
+  req/s at the current mix falls out of the fit, and it keeps the
+  per-mode EWMA service-time estimates the deadline-budget check
+  degrades against.  ``runtime.headroom()`` reports utilization and
+  predicted saturation; the profiling benchmark validates the estimate
+  within ±30% of the measured closed-loop knee.
 
 ``profile_hz=0`` (default) builds none of this into the serving path —
 bit-identical to the uninstrumented stack, seeded samples included,
@@ -259,7 +259,7 @@ class HeadroomReport:
 
 
 class CapacityModel:
-    """Saturation estimate from observed engine-batch (size, seconds).
+    """The serving cost model: engine-batch fit plus per-mode estimates.
 
     The dual serving path makes batch cost affine in the batch size:
     one ``(B, M) @ (M, r(r+1)/2)`` build + one stacked ``eigh`` grow
@@ -273,14 +273,27 @@ class CapacityModel:
     random request actually rides in — under saturation that converges
     to ``max_batch``, which is exactly when the prediction matters).
     Degenerate histories (one batch size only) fall back to the
-    observed mean rate.  Thread-safe; fed by the resilient layer from
-    the same timed window that feeds the EWMA :class:`ModeCostModel`.
+    observed mean rate.
+
+    The same observations keep one EWMA per served mode (``decay``
+    weighting the newest sample) of the per-request service time — the
+    batch's seconds over its size, applied once per request of that
+    mode.  :meth:`estimate` is what the deadline-budget check compares a
+    request's remaining budget against; an unseen mode estimates
+    ``0.0``, so a cold model never degrades.  Thread-safe; fed by the
+    resilient layer from its timed window around each engine call.
     """
 
-    def __init__(self, workers: int = 1, max_batch: int = 32) -> None:
+    def __init__(
+        self, workers: int = 1, max_batch: int = 32, decay: float = 0.3
+    ) -> None:
+        if not 0.0 < decay <= 1.0:
+            raise ValueError(f"decay must be in (0, 1], got {decay}")
         self.workers = max(1, int(workers))
         self.max_batch = int(max_batch)
+        self.decay = float(decay)
         self._lock = threading.Lock()
+        self._costs: dict[str, float] = {}
         self._n = 0
         self._sum_b = 0.0
         self._sum_t = 0.0
@@ -292,12 +305,34 @@ class CapacityModel:
         self._mode_requests: dict[str, int] = {}
 
     def observe(
-        self, batch_size: int, seconds: float, modes: dict[str, int] | None = None
+        self,
+        batch_size: int,
+        seconds: float,
+        modes: dict[str, int] | None = None,
+        fit: bool = True,
     ) -> None:
+        """One timed batch of ``batch_size`` requests, ``modes`` counting
+        them per served mode.  ``fit=False`` feeds only the per-mode
+        estimates (requests served inline, outside the engine)."""
         if batch_size < 1 or seconds < 0:
             return
         b = float(batch_size)
         with self._lock:
+            if modes:
+                share = seconds / b
+                decay = self.decay
+                for mode, count in modes.items():
+                    cost = self._costs.get(mode)
+                    for _ in range(int(count)):
+                        cost = (
+                            share
+                            if cost is None
+                            else decay * share + (1.0 - decay) * cost
+                        )
+                    if cost is not None:
+                        self._costs[mode] = cost
+            if not fit:
+                return
             self._n += 1
             self._sum_b += b
             self._sum_t += seconds
@@ -313,6 +348,15 @@ class CapacityModel:
                     self._mode_requests[mode] = (
                         self._mode_requests.get(mode, 0) + int(count)
                     )
+
+    def estimate(self, mode: str) -> float:
+        """The EWMA per-request service seconds of ``mode`` (0.0 unseen)."""
+        with self._lock:
+            return self._costs.get(mode, 0.0)
+
+    def mode_costs(self) -> dict[str, float]:
+        with self._lock:
+            return dict(self._costs)
 
     # ------------------------------------------------------------------
     def _fit_locked(self) -> tuple[float, float]:
@@ -355,13 +399,11 @@ class CapacityModel:
         return self.workers * batch_size / denom
 
     def headroom(
-        self,
-        uptime_s: float,
-        observed_req_per_s: float,
-        mode_costs: dict[str, float] | None = None,
+        self, uptime_s: float, observed_req_per_s: float
     ) -> HeadroomReport:
         """Assemble the full report (see :class:`HeadroomReport`)."""
         with self._lock:
+            mode_costs = dict(self._costs)
             fixed, per_request = self._fit_locked()
             busy = self._busy
             n = self._n
@@ -387,7 +429,7 @@ class CapacityModel:
                 "requests": count,
                 "share": count / total_requests if total_requests else 0.0,
             }
-            cost = (mode_costs or {}).get(mode)
+            cost = mode_costs.get(mode)
             if cost is not None and cost > 0:
                 # The EWMA cost is per request *at the observed batch
                 # amortization*, so workers/cost is that mode's pure-mix

@@ -11,9 +11,10 @@ for live traffic needs three guarantees the engine alone cannot give:
 * **bounded latency** — every :class:`~repro.serving.server.Request`
   may carry a ``deadline`` (absolute injected-clock time).  A request
   whose remaining budget cannot cover its admitted mode (per the
-  :class:`ModeCostModel`'s running estimates) is degraded rather than
-  served late; a request whose deadline has already passed is failed
-  with :class:`DeadlineExceeded` instead of wasting kernel work;
+  :class:`~repro.serving.profiling.CapacityModel`'s running per-mode
+  estimates) is degraded rather than served late; a request whose
+  deadline has already passed is failed with :class:`DeadlineExceeded`
+  instead of wasting kernel work;
 * **bounded blast radius** — a :class:`BreakerSource` wraps an
   approximate retrieval source (quantile funnel, IVF) in a
   :class:`CircuitBreaker`: consecutive failures or deadline blowouts
@@ -65,7 +66,6 @@ included) — pinned by the parity tests.
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 from dataclasses import replace as dataclass_replace
@@ -77,6 +77,7 @@ from ..retrieval import CandidateSource, ExactTopK
 from ..utils.metrics import Counter, MetricsRegistry
 from ..utils.topk import top_k_indices
 from .observability import EventLog, StageRecorder
+from .profiling import CapacityModel
 from .server import Request, Response, effective_request_quality
 
 __all__ = [
@@ -89,7 +90,6 @@ __all__ = [
     "DEGRADATION_LADDER",
     "QUALITY_TOPK",
     "AdmittedRequest",
-    "ModeCostModel",
     "ResilientServer",
     "CircuitBreaker",
     "BreakerSource",
@@ -146,25 +146,18 @@ DEGRADATION_LADDER = ("sample", "map", "topk-rerank", "quality-topk")
 QUALITY_TOPK = "quality-topk"
 
 
-def degrade_mode(request: Request, rungs: int) -> str:
-    """The mode ``request`` is served in after walking ``rungs`` rungs.
+def degrade_mode(request: Request, rungs: int, mode: str | None = None) -> str:
+    """The mode ``request`` is served in after walking ``rungs`` rungs
+    down from ``mode`` (default: its requested mode).
 
     Explicitly-sliced requests skip ``topk-rerank`` (the engine rejects
     explicit-slice rerank) and land on ``quality-topk`` directly.
     """
+    mode = request.mode if mode is None else mode
     if rungs <= 0:
-        return request.mode
-    position = DEGRADATION_LADDER.index(request.mode)
-    target = DEGRADATION_LADDER[min(position + rungs, len(DEGRADATION_LADDER) - 1)]
-    if target == "topk-rerank" and request.candidates is not None:
-        return QUALITY_TOPK
-    return target
-
-
-def _next_rung(request: Request, mode: str) -> str:
-    """One rung down from ``mode`` for this request (ladder skip rules)."""
+        return mode
     position = DEGRADATION_LADDER.index(mode)
-    target = DEGRADATION_LADDER[min(position + 1, len(DEGRADATION_LADDER) - 1)]
+    target = DEGRADATION_LADDER[min(position + rungs, len(DEGRADATION_LADDER) - 1)]
     if target == "topk-rerank" and request.candidates is not None:
         return QUALITY_TOPK
     return target
@@ -182,45 +175,6 @@ class AdmittedRequest:
         self.request = request
         self.pressure = int(pressure)
         self.trace = trace
-
-
-class ModeCostModel:
-    """EWMA per-request service-time estimates, one per served mode.
-
-    Fed by the :class:`ResilientServer` from the injected clock around
-    each engine call; read by the deadline-budget check (a request whose
-    remaining budget is below its mode's estimate degrades further).
-    Unknown modes estimate ``0.0``, so a cold model never degrades —
-    which is exactly what keeps the no-pressure path bit-identical under
-    a manual clock that only faults advance.
-    """
-
-    def __init__(self, decay: float = 0.3) -> None:
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        self.decay = float(decay)
-        self._lock = threading.Lock()
-        self._costs: dict[str, float] = {}
-
-    def observe(self, mode: str, seconds: float) -> None:
-        if seconds < 0:
-            return
-        with self._lock:
-            previous = self._costs.get(mode)
-            if previous is None:
-                self._costs[mode] = float(seconds)
-            else:
-                self._costs[mode] = (
-                    self.decay * float(seconds) + (1.0 - self.decay) * previous
-                )
-
-    def estimate(self, mode: str) -> float:
-        with self._lock:
-            return self._costs.get(mode, 0.0)
-
-    def snapshot(self) -> dict[str, float]:
-        with self._lock:
-            return dict(self._costs)
 
 
 # ----------------------------------------------------------------------
@@ -276,41 +230,38 @@ class ResilientServer:
     :class:`~repro.serving.server.Response` or a :class:`ServingError`
     *instance* (the batcher sets it on the matching future) — a shed
     request never poisons its batch neighbors.
+
+    Every engine batch gets a fresh ``StageRecorder`` (``serve(...,
+    stages=)``) feeding ``serving_stage_seconds`` and the traced members'
+    spans, and feeds its (size, seconds, mode mix) to ``cost_model``,
+    whose per-mode estimates the deadline-budget check reads.
     """
 
     def __init__(
         self,
         server,
         clock: Callable[[], float] | None = None,
-        cost_model: ModeCostModel | None = None,
+        cost_model: CapacityModel | None = None,
         fault_plan: "FaultPlan | None" = None,
         registry: MetricsRegistry | None = None,
         event_log: EventLog | None = None,
         stage_registry=None,
-        capacity_model=None,
     ) -> None:
         self.server = server
         self._clock = clock if clock is not None else time.monotonic
-        self.cost_model = cost_model if cost_model is not None else ModeCostModel()
+        self.cost_model = cost_model if cost_model is not None else CapacityModel()
         self.fault_plan = fault_plan
-        # Performance introspection (PR 10), both optional: a
-        # thread→stage registry makes every dispatched batch carry a
-        # StageRecorder (so the sampling profiler can attribute stacks
-        # even when no member is traced), and a CapacityModel receives
-        # every engine batch's (size, seconds, mode mix) observation.
         self.stage_registry = stage_registry
-        self.capacity_model = capacity_model
         metrics = registry if registry is not None else MetricsRegistry()
         self.registry = metrics
         self.event_log = (
             event_log if event_log is not None else EventLog(clock=self._clock)
         )
-        # Engine-stage spans recorded for traced batches also feed the
-        # aggregate per-stage latency histogram — one family labeled by
-        # stage, the breakdown the telemetry page exposes.
+        # Every batch's stage spans feed one per-stage latency family —
+        # the breakdown the telemetry page exposes.
         self._stage_seconds = metrics.histogram(
             "serving_stage_seconds",
-            "per-stage time of traced batches (clock seconds)",
+            "per-stage time of every engine batch (clock seconds)",
             labelnames=("stage",),
         )
         self._batch_seconds = metrics.histogram(
@@ -339,9 +290,9 @@ class ResilientServer:
             "requests shed to the terminal quality-topk rung",
         )
         # Version-labeled hot-path families (the unlabeled totals above
-        # keep the legacy stats() shapes): publish canaries read
-        # degradation rate and p99 service time per catalog version
-        # straight off the registry.
+        # keep the legacy stats() shapes), declared here only: the
+        # auditor's publish canaries read degradation rate and p99
+        # service time per catalog version back through registry.get.
         self._served_by_version = metrics.counter(
             "runtime_served_total",
             "responses served, labeled by catalog version",
@@ -362,15 +313,6 @@ class ResilientServer:
             "per-request engine service time, labeled by catalog version",
             labelnames=("version",),
         )
-        # Stage recorders only help when the wrapped engine accepts a
-        # ``stages=`` recorder; custom servers without the kwarg are
-        # served exactly as before (checked once, not per batch).
-        try:
-            self._accepts_stages = (
-                "stages" in inspect.signature(server.serve).parameters
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            self._accepts_stages = False
 
     def stats(self) -> dict:
         return {
@@ -380,7 +322,7 @@ class ResilientServer:
             "deadline_degraded": int(self._deadline_degraded.value),
             "deadline_exceeded": int(self._deadline_exceeded.value),
             "quality_topk_served": int(self._quality_topk.value),
-            "mode_costs": self.cost_model.snapshot(),
+            "mode_costs": self.cost_model.mode_costs(),
         }
 
     # ------------------------------------------------------------------
@@ -389,7 +331,10 @@ class ResilientServer:
     ) -> list:
         self._admitted.inc(len(admitted))
         now = self._clock()
-        version_label = str(getattr(snapshot, "version", "none"))
+        version = str(getattr(snapshot, "version", "none"))
+        served = self._served_by_version.labels(version=version)
+        degraded = self._degraded_by_version.labels(version=version)
+        seconds = self._request_seconds_by_version.labels(version=version)
         results: list = [None] * len(admitted)
         engine: list[tuple[int, AdmittedRequest, str]] = []
         shed: list[tuple[int, AdmittedRequest]] = []
@@ -404,7 +349,7 @@ class ResilientServer:
             deadline = request.deadline
             if deadline is not None and now >= deadline:
                 self._deadline_exceeded.inc()
-                self._failed_by_version.labels(version=version_label).inc()
+                self._failed_by_version.labels(version=version).inc()
                 self.event_log.record(
                     "deadline_exceeded",
                     index=position,
@@ -445,7 +390,7 @@ class ResilientServer:
                     mode != QUALITY_TOPK
                     and self.cost_model.estimate(mode) > remaining
                 ):
-                    mode = _next_rung(request, mode)
+                    mode = degrade_mode(request, 1, mode)
                 if mode != budget_mode:
                     self._deadline_degraded.inc()
                     self.event_log.record(
@@ -476,21 +421,11 @@ class ResilientServer:
                 else dataclass_replace(item.request, mode=mode)
                 for _, item, mode in engine
             ]
-            # One recorder per dispatched batch, created only when a
-            # traced member reaches the engine — stage spans are batch-
-            # phase times, so every traced member carries the same ones.
-            # A profiling runtime (stage_registry set) records every
-            # batch: the profiler needs stage boundaries whether or not
-            # anything is traced, and the recorder doubles as the
-            # thread→stage publisher.
-            recorder = None
-            if self._accepts_stages and (
-                self.stage_registry is not None
-                or any(item.trace is not None for _, item, _ in engine)
-            ):
-                recorder = StageRecorder(
-                    self._clock, registry=self.stage_registry
-                )
+            # One recorder per dispatched batch: stage spans are batch-
+            # phase times, so every traced member carries the same ones,
+            # and the recorder doubles as the profiler's thread→stage
+            # publisher when a stage registry rides along.
+            recorder = StageRecorder(self._clock, registry=self.stage_registry)
             # The coarse "engine" window marker brackets the whole serve
             # call so every profiler sample during engine work carries at
             # least a stage; the engine's own stage spans nest inside it
@@ -503,46 +438,29 @@ class ResilientServer:
                     # Inside the timed window: injected serve delays feed
                     # the cost model exactly like real service time would.
                     self.fault_plan.serve_tick(len(requests))
-                if recorder is not None:
-                    responses = self.server.serve(
-                        requests, snapshot=snapshot, stages=recorder
-                    )
-                else:
-                    responses = self.server.serve(requests, snapshot=snapshot)
+                responses = self.server.serve(
+                    requests, snapshot=snapshot, stages=recorder
+                )
             finally:
                 if self.stage_registry is not None:
                     self.stage_registry.pop()
             elapsed = self._clock() - start
             self._batch_seconds.observe(elapsed)
-            if self.capacity_model is not None:
-                mode_counts: dict[str, int] = {}
-                for _, _, batch_mode in engine:
-                    mode_counts[batch_mode] = mode_counts.get(batch_mode, 0) + 1
-                self.capacity_model.observe(
-                    len(requests), elapsed, mode_counts
-                )
-            if recorder is not None:
-                for name, span_start, span_end, _ in recorder.spans:
-                    self._stage_seconds.labels(stage=name).observe(
-                        span_end - span_start
-                    )
+            mode_counts: dict[str, int] = {}
+            for _, _, batch_mode in engine:
+                mode_counts[batch_mode] = mode_counts.get(batch_mode, 0) + 1
+            self.cost_model.observe(len(requests), elapsed, mode_counts)
+            self._observe_stages(recorder)
             engine_end = start + elapsed
-            per_request = elapsed / len(requests) if requests else 0.0
-            self._served_by_version.labels(version=version_label).inc(
-                len(requests)
-            )
+            per_request = elapsed / len(requests)
+            served.inc(len(requests))
             for (position, item, mode), response in zip(engine, responses):
                 request = item.request
-                self.cost_model.observe(mode, per_request)
-                self._request_seconds_by_version.labels(
-                    version=version_label
-                ).observe(per_request)
+                seconds.observe(per_request)
                 restamp: dict = {}
                 if mode != request.mode:
                     self._degraded.inc()
-                    self._degraded_by_version.labels(
-                        version=version_label
-                    ).inc()
+                    degraded.inc()
                     restamp.update(
                         mode=request.mode, served_mode=mode, degraded=True
                     )
@@ -557,8 +475,7 @@ class ResilientServer:
                     if start > now:
                         trace.add_span("dispatch", now, start)
                     trace.add_span("engine", start, engine_end)
-                    if recorder is not None:
-                        recorder.extend_trace(trace, nested=True)
+                    recorder.extend_trace(trace, nested=True)
                     trace.annotate(
                         served_mode=mode, degraded=mode != request.mode
                     )
@@ -574,22 +491,14 @@ class ResilientServer:
                 )
         if shed:
             start = self._clock()
+            recorder = StageRecorder(self._clock, registry=self.stage_registry)
             for position, item in shed:
                 request = item.request
-                span_start = self._clock()
-                if self.stage_registry is not None:
-                    self.stage_registry.push("quality_topk")
-                try:
+                with recorder.stage("quality_topk"):
                     response = _quality_topk_response(
                         request, position, snapshot
                     )
-                finally:
-                    if self.stage_registry is not None:
-                        self.stage_registry.pop()
-                span_end = self._clock()
-                self._stage_seconds.labels(stage="quality_topk").observe(
-                    span_end - span_start
-                )
+                _, span_start, span_end, _ = recorder.spans[-1]
                 self.event_log.record(
                     "shed", index=position, rung=QUALITY_TOPK
                 )
@@ -608,19 +517,22 @@ class ResilientServer:
                     response = dataclass_replace(response, trace=trace)
                 results[position] = response
             elapsed = self._clock() - start
+            self._observe_stages(recorder)
+            self.cost_model.observe(
+                len(shed), elapsed, {QUALITY_TOPK: len(shed)}, fit=False
+            )
             per_request = elapsed / len(shed)
             for _ in shed:
-                self.cost_model.observe(QUALITY_TOPK, per_request)
-                self._request_seconds_by_version.labels(
-                    version=version_label
-                ).observe(per_request)
+                seconds.observe(per_request)
             self._degraded.inc(len(shed))
             self._quality_topk.inc(len(shed))
-            self._served_by_version.labels(version=version_label).inc(len(shed))
-            self._degraded_by_version.labels(version=version_label).inc(
-                len(shed)
-            )
+            served.inc(len(shed))
+            degraded.inc(len(shed))
         return results
+
+    def _observe_stages(self, recorder: StageRecorder) -> None:
+        for name, start, end, _ in recorder.spans:
+            self._stage_seconds.labels(stage=name).observe(end - start)
 
 
 # ----------------------------------------------------------------------

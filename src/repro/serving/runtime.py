@@ -34,21 +34,20 @@ factor generations.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import Future
 from typing import Sequence
 
 import numpy as np
 
-from ..utils.metrics import MetricsRegistry
+from ..utils.metrics import CreditSampler, MetricsRegistry
 from .catalog import ItemCatalog
 from .config import ServingConfig
 from .health import (
     _STATUS_SEVERITY,
+    ALERT_KINDS,
     DEGRADED,
     HEALTHY,
-    AlertSink,
     CanaryReport,
     HealthStatus,
     ResponseAuditor,
@@ -69,6 +68,10 @@ from .server import KDPPServer, Request, Response
 from .sharding import ShardedCatalog, ShardedKDPPServer
 
 __all__ = ["ServingRuntime"]
+
+#: transient publish failures retried (with exponential backoff from
+#: ``ServingConfig.publish_backoff``) before the error propagates
+PUBLISH_RETRIES = 2
 
 
 class ServingRuntime:
@@ -124,25 +127,24 @@ class ServingRuntime:
         # scheduler, the resilient layer and the publish path all
         # register into them, so telemetry().to_text() is one page.
         self._registry = MetricsRegistry()
-        self._event_log = EventLog(
-            capacity=config.event_log_capacity, clock=clock
-        )
+        self._event_log = EventLog(clock=clock)
+        if config.alert_sink is not None:
+            self._event_log.subscribe(config.alert_sink, ALERT_KINDS)
         self._telemetry = RuntimeTelemetry(
             self._registry, self._event_log, clock=clock
         )
-        # Deterministic trace sampling (credit accumulator — no RNG, so
-        # seeded sample streams are untouched; rate 0 short-circuits).
-        self._trace_rate = float(config.trace_rate)
-        self._trace_lock = threading.Lock()
-        self._trace_credit = 0.0
+        # Deterministic trace sampling (no RNG, so seeded sample streams
+        # are untouched; rate 0 short-circuits).
+        self._trace_sampler = CreditSampler(config.trace_rate)
         self._fault_plan = config.fault_plan
-        # Performance introspection (PR 10).  The capacity model always
-        # observes engine batches (pure arithmetic, no serving-path
-        # change); the sampling profiler and its thread→stage registry
-        # exist only at profile_hz > 0 — the registry's push/pop in the
-        # stage machinery is the *only* serving-path delta, and the
-        # sampler itself is a passive daemon thread (no RNG, no serving
-        # lock), keeping profile_hz=0 bit-identical, samples included.
+        # The one cost model: every engine batch's (size, seconds, mode
+        # mix) feeds both the capacity fit behind headroom() and the
+        # per-mode estimates the deadline check degrades against.  The
+        # sampling profiler and its thread→stage registry exist only at
+        # profile_hz > 0 — the registry's push/pop in the stage recorder
+        # is the *only* serving-path delta, and the sampler itself is a
+        # passive daemon thread (no RNG, no serving lock), keeping
+        # profile_hz=0 bit-identical, samples included.
         self._capacity = CapacityModel(
             workers=max(1, config.workers), max_batch=config.max_batch
         )
@@ -164,7 +166,7 @@ class ServingRuntime:
             registry=self._registry,
             event_log=self._event_log,
             stage_registry=self._stage_registry,
-            capacity_model=self._capacity,
+            cost_model=self._capacity,
         )
         if config.fault_plan is not None:
             source = getattr(server, "source", None)
@@ -194,31 +196,23 @@ class ServingRuntime:
                 self._event_log.record("breaker", from_state=old, to_state=new)
 
             breaker.listener = _on_breaker
-        # Product health (PR 9): the alert channel, the SLO burn
-        # tracker, and the sampled slate auditor — all fed post-serve
-        # by _serve_tagged, so the engine's batch window never pays.
-        self._alert_sink = AlertSink(
-            callback=config.alert_sink, clock=clock
-        )
+        # Product health (PR 9): the SLO burn tracker and the sampled
+        # slate auditor — both fed post-serve by _serve_tagged, so the
+        # engine's batch window never pays.  Their alerts are events.
         self._slo_tracker = SLOTracker(
             slos=tuple(config.slos) if config.slos is not None else (),
             clock=clock,
             registry=self._registry,
             event_log=self._event_log,
-            alert_sink=self._alert_sink,
         )
         self._auditor = ResponseAuditor(
             self._registry,
             self._event_log,
             clock=clock,
             audit_rate=config.audit_rate,
-            window=config.audit_window,
             canary_min_audits=config.canary_min_audits,
-            canary_tolerance=config.canary_tolerance,
             drift_window=config.drift_window,
-            drift_threshold=config.drift_threshold,
             slo_tracker=self._slo_tracker,
-            alert_sink=self._alert_sink,
         )
         self._health_gauge = self._registry.gauge(
             "serving_health_status",
@@ -292,24 +286,11 @@ class ServingRuntime:
         item.pressure += 1 + (depth - cap) // cap
 
     def _maybe_trace(self) -> Trace | None:
-        """A fresh trace when this request is sampled, else ``None``.
-
-        Deterministic credit accumulator: at rate ``r`` exactly every
-        ``1/r``-th submission traces — no RNG is consumed, so the seeded
-        sample streams the parity tests pin are byte-identical whether
-        tracing is on or off.
-        """
-        rate = self._trace_rate
-        if rate <= 0.0:
-            return None
-        if rate >= 1.0:
-            return Trace(self._clock)
-        with self._trace_lock:
-            self._trace_credit += rate
-            if self._trace_credit >= 1.0:
-                self._trace_credit -= 1.0
-                return Trace(self._clock)
-        return None
+        """A fresh trace when this request is sampled, else ``None``: at
+        rate ``r`` exactly every ``1/r``-th submission traces, and no RNG
+        is consumed, so the seeded sample streams the parity tests pin
+        are byte-identical whether tracing is on or off."""
+        return Trace(self._clock) if self._trace_sampler.take() else None
 
     # ------------------------------------------------------------------
     # Admission
@@ -359,7 +340,7 @@ class ServingRuntime:
 
         Transient failures (:class:`TransientError`, e.g. a publish race
         injected by a fault plan) are retried up to
-        ``config.publish_retries`` times with exponential backoff from
+        :data:`PUBLISH_RETRIES` times with exponential backoff from
         ``config.publish_backoff`` — slept through the injected clock
         when it is a manual one, so chaos tests never block on wall
         time.  Non-transient errors propagate immediately.
@@ -368,26 +349,26 @@ class ServingRuntime:
         frozen *before* the swap as the canary baseline; once the new
         version accrues ``config.canary_min_audits`` audited responses
         the auditor emits a :class:`~repro.serving.health.CanaryReport`
-        (a ``canary_regression`` event + alert if quality regressed).
+        (and a ``canary_regression`` event if quality regressed).
         """
         # Freeze the baseline before the swap: audits racing this
         # publish keep landing in the old version's windows, but the
         # comparison point is pinned to the moment the swap began.
         # (Skipped entirely when auditing is off — no extra events.)
         baseline = (
-            self._auditor.canary_baseline(self.catalog.version)
+            self._auditor.aggregate(self.catalog.version)
             if self._auditor.rate > 0
             else None
         )
         delay = self.config.publish_backoff
-        for attempt in range(self.config.publish_retries + 1):
+        for attempt in range(PUBLISH_RETRIES + 1):
             try:
                 if self._fault_plan is not None:
                     self._fault_plan.publish_tick()
                 version = self.catalog.publish(factors)
                 break
             except TransientError:
-                if attempt == self.config.publish_retries:
+                if attempt == PUBLISH_RETRIES:
                     raise
                 self._publish_retry_count.inc()
                 self._event_log.record("publish_retry", attempt=attempt + 1)
@@ -449,9 +430,9 @@ class ServingRuntime:
     def headroom(self) -> HeadroomReport:
         """Utilization and predicted saturation at the current mix.
 
-        Fuses the capacity model's affine batch-cost fit (fed by every
-        engine batch the resilient layer timed) with the EWMA per-mode
-        cost estimates; the profiling benchmark validates the
+        From the capacity model's affine batch-cost fit and per-mode
+        EWMA cost estimates, both fed by every engine batch the
+        resilient layer timed; the profiling benchmark validates the
         saturation estimate within ±30% of the measured closed-loop
         knee.  Meaningful once traffic has flowed — a cold model
         reports zero saturation, never a guess.
@@ -459,7 +440,6 @@ class ServingRuntime:
         return self._capacity.headroom(
             uptime_s=self._telemetry.uptime,
             observed_req_per_s=self._telemetry.requests_per_second(),
-            mode_costs=self._resilient.cost_model.snapshot(),
         )
 
     @property
@@ -471,10 +451,6 @@ class ServingRuntime:
     @property
     def auditor(self) -> ResponseAuditor:
         return self._auditor
-
-    @property
-    def alert_sink(self) -> AlertSink:
-        return self._alert_sink
 
     @property
     def last_canary(self) -> CanaryReport | None:

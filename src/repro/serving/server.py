@@ -115,7 +115,7 @@ from ..dpp.map_inference import (
 from ..utils.topk import top_k_indices
 from .catalog import CatalogSnapshot, ItemCatalog
 from .config import ServingConfig
-from .observability import StageRecorder, stage_span
+from .observability import StageRecorder
 
 __all__ = [
     "Request",
@@ -704,23 +704,25 @@ class KDPPServer:
 
         ``snapshot`` pins the batch to one published catalog version
         (default: the current one); every response is stamped with it.
-        ``stages`` (optional, wired by the resilience layer when the
-        batch holds a traced request) collects the engine's batch-phase
-        spans — resolve / dual_build / eigh / normalizer / selection /
-        emit — through the recorder's injected clock.
+        ``stages`` collects the engine's batch-phase spans — resolve /
+        dual_build / eigh / normalizer / selection / emit — through the
+        recorder's clock; the runtime passes one per batch, and a call
+        without one times into a fresh recorder of its own.
         """
+        if stages is None:
+            stages = StageRecorder()
         return self._serve_batch(requests, self._pin(snapshot), stages)
 
     def _serve_batch(
         self,
         requests: Sequence[Request],
         snap: CatalogSnapshot,
-        stages: StageRecorder | None,
+        stages: StageRecorder,
         validated: bool = False,
     ) -> list[Response]:
         """:meth:`serve` on a pinned snapshot (``validated``: see
         :meth:`_resolve`)."""
-        with stage_span(stages, "resolve"):
+        with stages.stage("resolve"):
             resolved = [
                 self._resolve(request, i, snap, validated)
                 for i, request in enumerate(requests)
@@ -815,7 +817,7 @@ class KDPPServer:
         self,
         members: list[_Resolved],
         snap: CatalogSnapshot,
-        stages: StageRecorder | None = None,
+        stages: StageRecorder,
     ) -> dict[int, _Spectrum]:
         """Dual spectra of a batch's full-catalog requests, keyed by
         request index.
@@ -846,7 +848,7 @@ class KDPPServer:
                 built.append(member)
         if not built:
             return spectra
-        with stage_span(stages, "dual_build"):
+        with stages.stage("dual_build"):
             rows = self._session_rows(built, snap, pins=True)
             units = self._history_units(built, rows)
             squared = np.stack([member.quality for member in built])
@@ -859,7 +861,7 @@ class KDPPServer:
                     duals[b] -= basis @ (
                         correction.T - (basis.T @ correction) @ basis.T
                     )
-        with stage_span(stages, "eigh"):
+        with stages.stage("eigh"):
             eigenvalues, vectors = np.linalg.eigh(duals)
         eigenvalues = clip_dual_spectrum(eigenvalues)
         for b, member in enumerate(built):
@@ -887,7 +889,7 @@ class KDPPServer:
         responses: list,
         snap: CatalogSnapshot,
         spectra: dict[int, _Spectrum],
-        stages: StageRecorder | None = None,
+        stages: StageRecorder,
     ) -> None:
         """Serve one group of same-shape requests over their ground sets.
 
@@ -913,7 +915,7 @@ class KDPPServer:
                 rows = [part.seed_rows for part in parts]
                 units = [part.history_unit for part in parts]
         else:
-            with stage_span(stages, "dual_build"):
+            with stages.stage("dual_build"):
                 candidates = np.stack([member.candidates for member in members])
                 stack = quality[:, :, None] * snap.take_rows(candidates)
                 if session:
@@ -923,12 +925,12 @@ class KDPPServer:
                         if basis is not None:
                             stack[b] -= (stack[b] @ basis) @ basis.T
                 duals = np.matmul(np.swapaxes(stack, 1, 2), stack)
-            with stage_span(stages, "eigh"):
+            with stages.stage("eigh"):
                 eigenvalues, vectors = np.linalg.eigh(duals)
             eigenvalues = clip_dual_spectrum(eigenvalues)
-        with stage_span(stages, "normalizer"):
+        with stages.stage("normalizer"):
             log_normalizers = self._log_normalizers(eigenvalues, members, k, mode)
-        with stage_span(stages, "selection"):
+        with stages.stage("selection"):
             if mode == "sample":
                 rngs = [self._request_rng(member) for member in members]
                 coefficients = self._phase1_coefficients(
@@ -972,7 +974,7 @@ class KDPPServer:
                     samples = batched_greedy_map_stacked_session(
                         stack, k, seeds=seeds, pins=pins, quota=quota
                     )
-        with stage_span(stages, "emit"):
+        with stages.stage("emit"):
             self._emit(
                 members, samples, log_normalizers, quality, stack, units, k,
                 responses, snap,

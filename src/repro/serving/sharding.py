@@ -66,7 +66,7 @@ from ..retrieval.cache import session_token
 from ..utils.topk import top_k_indices_rows
 from .catalog import CatalogSnapshot, VersionedExtensions
 from .config import ServingConfig
-from .observability import StageRecorder, stage_span
+from .observability import StageRecorder
 from .server import (
     KDPPServer,
     Request,
@@ -277,7 +277,7 @@ class ShardedKDPPServer(KDPPServer):
         members: list[tuple[int, Request]],
         width: int,
         snap: ShardedSnapshot,
-        stages: StageRecorder | None = None,
+        stages: StageRecorder,
     ) -> list[np.ndarray]:
         """One pool per member: funnel cache first, then the source.
 
@@ -321,7 +321,7 @@ class ShardedKDPPServer(KDPPServer):
                 )
             # "source" nests inside the enclosing "funnel" span, so it
             # is marked nested — coverage sums must not count it twice.
-            with stage_span(stages, "source", nested=True):
+            with stages.stage("source", nested=True):
                 fresh = self.source.pools(stacked, width, snap)
             for out_row, row in enumerate(miss_rows):
                 pools[row] = fresh[out_row]
@@ -358,7 +358,11 @@ class ShardedKDPPServer(KDPPServer):
         scan runs in ``_resolve``, on the pool only, so a bad value
         fails the request exactly when the funnel puts it in the pool
         (the policy is stated in :mod:`repro.retrieval.exact`).
+        ``stages`` times the ``source`` span; without one, a fresh
+        recorder does.
         """
+        if stages is None:
+            stages = StageRecorder()
         lowered: list[Request | None] = [None] * len(requests)
         by_width: dict[int, list[tuple[int, Request]]] = {}
         for index, request in enumerate(requests):
@@ -439,8 +443,10 @@ class ShardedKDPPServer(KDPPServer):
         snapshot: ShardedSnapshot | None = None,
         stages: StageRecorder | None = None,
     ) -> list:
+        if stages is None:
+            stages = StageRecorder()
         snap = self._pin(snapshot)
-        with stage_span(stages, "funnel"):
+        with stages.stage("funnel"):
             lowered = self._lower(requests, snap, stages)
         responses = self._serve_batch(lowered, snap, stages, validated=True)
         return self._restamp_modes(requests, responses)

@@ -13,7 +13,9 @@ integers.  This module is the one set of primitives they all move onto:
   offline percentiles and a live histogram's agree on convention;
 * :class:`MetricsRegistry` — get-or-create-by-name registry with a
   point-in-time :meth:`~MetricsRegistry.snapshot` and a Prometheus-style
-  :meth:`~MetricsRegistry.to_text` exposition.
+  :meth:`~MetricsRegistry.to_text` exposition;
+* :class:`CreditSampler` — the deterministic rate sampler that picks
+  which requests are traced and which responses are audited.
 
 Every primitive supports **labeled children** (``metric.labels(...)``)
 in the Prometheus mold: the parent owns the label *names*, children own
@@ -42,6 +44,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "CreditSampler",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -465,3 +468,35 @@ class MetricsRegistry:
             metrics = sorted(self._metrics.items())
         blocks = [metric.to_text() for _, metric in metrics]
         return "\n".join(blocks) + ("\n" if blocks else "")
+
+
+class CreditSampler:
+    """Deterministic rate sampling: a credit accumulator, not an RNG.
+
+    Each :meth:`take` adds ``rate`` to a running credit and says yes
+    whenever the credit reaches one, so at rate ``r`` exactly every
+    ``1/r``-th call is sampled.  Rate 0 never samples and rate 1 always
+    does, without touching the credit.  No random numbers are consumed,
+    so sampling on the serving path leaves the seeded sample streams
+    byte-identical.  Thread-safe.
+    """
+
+    __slots__ = ("rate", "_credit", "_lock")
+
+    def __init__(self, rate: float) -> None:
+        self.rate = float(rate)
+        self._credit = 0.0
+        self._lock = threading.Lock()
+
+    def take(self) -> bool:
+        rate = self.rate
+        if rate <= 0.0:
+            return False
+        if rate >= 1.0:
+            return True
+        with self._lock:
+            self._credit += rate
+            if self._credit >= 1.0:
+                self._credit -= 1.0
+                return True
+        return False

@@ -4,8 +4,8 @@ Three building blocks, stdlib-only so any layer (retrieval, serving,
 benchmarks) can adopt them without importing the serving package:
 
 * :class:`StageRegistry` — a thread → current-stage stack, updated by
-  the serving layer's ``StageRecorder``/``stage_span`` machinery on
-  stage entry/exit.  The profiler reads it to attribute each sampled
+  the serving layer's per-batch ``StageRecorder`` on stage
+  entry/exit.  The profiler reads it to attribute each sampled
   stack to the stage the thread was inside at sample time (innermost
   wins, so ``source`` inside ``funnel`` inside ``engine`` attributes to
   ``source``).

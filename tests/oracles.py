@@ -85,3 +85,22 @@ def sliced_request_oracle(factors: np.ndarray, request) -> tuple[list[int], floa
     _, log_det = np.linalg.slogdet(chosen @ chosen.T)
     log_normalizer = _log_esp(np.linalg.eigvalsh(rows.T @ rows).clip(0.0), request.k)
     return [int(candidates[i]) for i in local], log_det - log_normalizer
+
+
+def mode_cost_ewma_reference(batches, decay: float = 0.3) -> dict[str, float]:
+    """Per-mode EWMA service-time estimates, one update per request.
+
+    Each batch is ``(modes, seconds)``: its requests' served modes in
+    order and the batch's timed seconds; every request is charged the
+    per-request share ``seconds / len(modes)``, the first sample of a
+    mode taken as is and each later one weighted by ``decay``."""
+    costs: dict[str, float] = {}
+    for modes, seconds in batches:
+        share = seconds / len(modes)
+        for mode in modes:
+            previous = costs.get(mode)
+            if previous is None:
+                costs[mode] = float(share)
+            else:
+                costs[mode] = decay * float(share) + (1.0 - decay) * previous
+    return costs

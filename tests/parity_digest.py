@@ -26,6 +26,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -241,7 +242,7 @@ def _deadline_path(digest, factors) -> None:
         now = clock()
         for b, request in enumerate(budgeted):
             deadline = now - 1.0 if b == 0 else now + (0.01 if b % 2 else 1.0)
-            futures.append(runtime.submit(_with_deadline(request, deadline)))
+            futures.append(runtime.submit(replace(request, deadline=deadline)))
         runtime.flush()
         futures += runtime.submit_many(pressured)
         runtime.flush()
@@ -253,12 +254,6 @@ def _deadline_path(digest, factors) -> None:
     digest.paths["runtime/deadline/mode_costs"] = hashlib.sha1(
         json.dumps(sorted((mode, repr(cost)) for mode, cost in costs.items())).encode()
     ).hexdigest()
-
-
-def _with_deadline(request: Request, deadline: float) -> Request:
-    from dataclasses import replace
-
-    return replace(request, deadline=deadline)
 
 
 def compute() -> _Digest:

@@ -12,11 +12,15 @@ Contracts pinned here:
    the fast window before the slow one (the multi-window convention).
 3. **Drift** — an injected quality shift fires exactly once (reference
    rebases) and flags health until a post-rebase window settles;
-   stationary traffic stays quiet forever.
+   stationary traffic stays quiet forever; a seeded shifted sequence
+   fires at the recorded sample indices with the recorded records.
 4. **Canaries** — the baseline freezes *before* the catalog swap, so
    requests admitted (pinned to the old snapshot) but audited during or
    after the publish cannot move it; a collapsed-factor publish trips
    ``canary_regression`` while a clean one passes.
+5. **Alerts are events** — an ``alert_sink`` callback receives exactly
+   the ``slo_burn`` / ``drift`` / ``canary_regression`` events the event
+   log records, field for field, and a raising one fails no request.
 
 No sleeps: manual clocks everywhere, ``workers=0`` inline dispatch.
 """
@@ -29,7 +33,6 @@ from repro.serving import (
     HEALTHY,
     SLO,
     UNHEALTHY,
-    AlertSink,
     CanaryReport,
     DriftDetector,
     EventLog,
@@ -42,6 +45,7 @@ from repro.serving import (
     SLOTracker,
     WindowedStat,
 )
+from repro.serving.health import ALERT_KINDS
 from repro.serving.resilience import DeadlineExceeded
 from repro.utils.timing import ManualClock
 
@@ -65,7 +69,7 @@ def _serve(rt: ServingRuntime, requests) -> list:
 
 
 # ----------------------------------------------------------------------
-# WindowedStat / DriftDetector / AlertSink primitives
+# WindowedStat / DriftDetector / alert-subscription primitives
 # ----------------------------------------------------------------------
 def test_windowed_stat_ring_semantics():
     stat = WindowedStat(capacity=4)
@@ -118,6 +122,49 @@ def test_drift_detector_fires_once_on_shift_then_recovers():
     assert stats["fired"] == 1 and not stats["flagged"]
 
 
+#: (sample index, record) of every firing of a window-32 detector on the
+#: seeded sequence below, as recorded before DriftDetector was rebuilt on
+#: two WindowedStat windows
+_RECORDED_DRIFT = [
+    (159, 1.00018593702041, 1.0918132211793319, 0.09162728415892185),
+    (191, 1.0918132211793319, 1.2997292888403091, 0.20791606766097726),
+    (434, 1.2997292888403091, 1.2333304868745267, -0.0663988019657824),
+    (466, 1.2333304868745267, 1.1242301054848227, -0.10910038138970402),
+    (498, 1.1242301054848227, 1.0108527443745026, -0.11337736111032015),
+    (530, 1.0108527443745026, 0.8957077051239725, -0.1151450392505301),
+    (562, 0.8957077051239725, 0.785119005854408, -0.1105886992695645),
+    (594, 0.785119005854408, 0.6724617093388195, -0.11265729651558842),
+]
+
+
+def test_drift_detector_fires_at_the_recorded_samples():
+    rng = np.random.default_rng(29)
+    values = np.concatenate([
+        rng.normal(1.0, 0.05, 150),
+        rng.normal(1.3, 0.05, 150),
+        rng.normal(1.3, 0.2, 100),
+        np.linspace(1.3, 0.6, 200) + rng.normal(0, 0.02, 200),
+    ])
+    detector = DriftDetector("ilad", window=32, threshold=3.0)
+    fired = []
+    for index, value in enumerate(values):
+        record = detector.add(value)
+        if record is not None:
+            fired.append((index, record))
+    assert fired == [
+        (index, {"metric": "ilad", "reference_mean": ref, "current_mean": cur,
+                 "shift": shift})
+        for index, ref, cur, shift in _RECORDED_DRIFT
+    ]
+    assert detector.stats() == {
+        "metric": "ilad",
+        "fired": 8,
+        "flagged": True,
+        "reference_mean": 0.6724617093388195,
+        "current_mean": 0.603435887176354,
+    }
+
+
 def test_drift_detector_validates():
     with pytest.raises(ValueError, match="window"):
         DriftDetector("m", window=1)
@@ -128,26 +175,31 @@ def test_drift_detector_validates():
 
 
 def test_alert_sink_callbacks_and_retention():
+    """Alert callbacks are event-log subscriptions: they see each event
+    of their kinds as recorded, a raising one is swallowed, and the log
+    keeps its bounded retention."""
     clock = ManualClock(start=3.0)
     seen = []
-    sink = AlertSink(callback=seen.append, clock=clock, keep=2)
+    log = EventLog(capacity=2, clock=clock)
+    log.subscribe(seen.append, ALERT_KINDS)
 
-    def _raising(alert):
+    def _raising(event):
         raise RuntimeError("pager down")
 
-    sink.subscribe(_raising)  # must never take the caller down
-    first = sink.emit("drift", metric="ilad")
+    log.subscribe(_raising)  # must never take the caller down, only counted
+    first = log.record("drift", metric="ilad")
     clock.advance(1.0)
-    sink.emit("slo_burn", slo="latency")
-    sink.emit("slo_burn", slo="availability")
-    assert first == {"kind": "drift", "time": 3.0, "metric": "ilad"}
+    log.record("publish", version=1)  # not an alert kind
+    log.record("slo_burn", slo="latency")
+    log.record("slo_burn", slo="availability")
+    assert first == {"kind": "drift", "time": 3.0, "metric": "ilad", "seq": 1}
+    assert seen[0] == first and seen[0] is not first
     assert [alert["kind"] for alert in seen] == ["drift", "slo_burn", "slo_burn"]
-    assert sink.emitted == 3
-    # keep=2: the drift alert rolled off; kind filter works
-    assert [alert["kind"] for alert in sink.snapshot()] == ["slo_burn", "slo_burn"]
-    assert sink.snapshot(kind="drift") == []
-    with pytest.raises(ValueError, match="keep"):
-        AlertSink(keep=0)
+    assert log.stats()["recorded"] == 4
+    assert log.stats()["callback_errors"] == 4
+    # capacity 2: the drift and publish events rolled off; kind filter works
+    assert [event["kind"] for event in log.snapshot()] == ["slo_burn", "slo_burn"]
+    assert log.snapshot(kind="drift") == []
 
 
 # ----------------------------------------------------------------------
@@ -185,10 +237,11 @@ def test_burn_rates_are_exact_under_manual_clock():
     clock = ManualClock()
     registry = MetricsRegistry()
     log = EventLog(capacity=32)
-    sink = AlertSink(clock=clock)
+    alerts = []
+    log.subscribe(alerts.append, ALERT_KINDS)
     slo = SLO("avail", "availability", target=0.99, window=60.0, fast_window=10.0)
     tracker = SLOTracker(
-        slos=(slo,), clock=clock, registry=registry, event_log=log, alert_sink=sink
+        slos=(slo,), clock=clock, registry=registry, event_log=log
     )
     clock.advance(100.0)
     for i in range(100):
@@ -203,7 +256,7 @@ def test_burn_rates_are_exact_under_manual_clock():
     # edge-triggered: one slo_burn event + alert, not one per evaluate
     tracker.evaluate()
     assert [event["kind"] for event in log.snapshot()] == ["slo_burn"]
-    assert [alert["kind"] for alert in sink.snapshot()] == ["slo_burn"]
+    assert [alert["kind"] for alert in alerts] == ["slo_burn"]
     burn_gauge = registry.gauge(
         "slo_burn_rate",
         "error-budget burn rate per SLO and window",
@@ -352,16 +405,10 @@ def test_slate_geometry_matches_eval_metrics_math():
 def test_audit_config_validation():
     with pytest.raises(ValueError, match="audit_rate"):
         ServingConfig(audit_rate=1.5)
-    with pytest.raises(ValueError, match="audit_window"):
-        ServingConfig(audit_window=1)
     with pytest.raises(ValueError, match="canary_min_audits"):
         ServingConfig(canary_min_audits=0)
-    with pytest.raises(ValueError, match="canary_tolerance"):
-        ServingConfig(canary_tolerance=0.0)
     with pytest.raises(ValueError, match="drift_window"):
         ServingConfig(drift_window=1)
-    with pytest.raises(ValueError, match="drift_threshold"):
-        ServingConfig(drift_threshold=0.0)
     with pytest.raises(ValueError, match="SLO"):
         ServingConfig(slos=("nope",))
     with pytest.raises(ValueError, match="alert_sink"):
@@ -455,7 +502,6 @@ def test_corrupted_publish_trips_canary_regression():
         assert report.metrics["ilad"]["delta"] < 0
         kinds = [e["kind"] for e in rt.telemetry().event_log.snapshot()]
         assert "canary_regression" in kinds
-        assert rt.alert_sink.snapshot(kind="canary_regression")
         health = rt.health()
         assert health.status == DEGRADED
         assert any("canary regression" in reason for reason in health.reasons)
@@ -479,7 +525,6 @@ def test_clean_publish_passes_canary_and_stays_healthy():
         assert report.regressions == ()
         kinds = [e["kind"] for e in rt.telemetry().event_log.snapshot()]
         assert "canary" in kinds and "canary_regression" not in kinds
-        assert rt.alert_sink.snapshot(kind="canary_regression") == []
         assert rt.health().status == HEALTHY
 
 
@@ -532,7 +577,6 @@ def test_quality_drift_fires_through_the_runtime():
         drift_events = rt.telemetry().event_log.snapshot(kind="drift")
         assert drift_events and drift_events[0]["metric"] == "quality_mass"
         assert drift_events[0]["shift"] > 0
-        assert rt.alert_sink.snapshot(kind="drift")
         health = rt.health()
         assert health.status == DEGRADED
         assert any("drift" in reason for reason in health.reasons)
@@ -601,3 +645,66 @@ def test_health_status_round_trip():
         "reasons": ["all good"],
         "slos": [{"name": "x"}],
     }
+
+
+# ----------------------------------------------------------------------
+# Alerts are events
+# ----------------------------------------------------------------------
+def _alert_stream(alert_sink):
+    """A stream that records every alert kind: a collapsed publish
+    (canary regression, ILAD drift), a quality blow-up (quality drift)
+    and a burst of expired deadlines (availability SLO burn)."""
+    m = 60
+    clock = ManualClock()
+    config = ServingConfig(
+        workers=0,
+        clock=clock,
+        audit_rate=1.0,
+        canary_min_audits=4,
+        drift_window=8,
+        slos=(SLO("avail", "availability", target=0.99, window=60, fast_window=10),),
+        alert_sink=alert_sink,
+    )
+    requests = [
+        Request(quality=_quality(72, m), k=4, mode="sample", seed=i) for i in range(8)
+    ]
+    with ServingRuntime(ItemCatalog(_factors(71, m, 6)), config=config) as rt:
+        served = _serve(rt, requests)
+        rt.publish(_collapsed_factors(73, m, 6))
+        served += _serve(rt, requests)
+        served += _serve(
+            rt, [Request(quality=_quality(81, m, scale=4.0), k=3, mode="map")] * 16
+        )
+        expired = rt.submit_many(
+            [Request(quality=_quality(91, m), k=3, mode="map", deadline=clock() + 0.5)] * 4
+        )
+        clock.advance(1.0)
+        rt.flush()
+        events = rt.telemetry().event_log.snapshot()
+        stats = rt.telemetry().event_log.stats()
+    return served, expired, events, stats
+
+
+def test_alert_sink_gets_one_identical_dict_per_alert_event():
+    alerts = []
+    _, _, events, stats = _alert_stream(alerts.append)
+    recorded = [event for event in events if event["kind"] in ALERT_KINDS]
+    assert {event["kind"] for event in recorded} == set(ALERT_KINDS)
+    assert alerts == recorded
+    assert stats["callback_errors"] == 0
+
+
+def test_raising_alert_sink_fails_no_request():
+    calls = []
+
+    def _raising(alert):
+        calls.append(alert["kind"])
+        raise RuntimeError("pager down")
+
+    served, expired, events, stats = _alert_stream(_raising)
+    assert len(served) == 32 and all(response.items for response in served)
+    for future in expired:
+        with pytest.raises(DeadlineExceeded):
+            future.result()
+    assert calls == [event["kind"] for event in events if event["kind"] in ALERT_KINDS]
+    assert stats["callback_errors"] == len(calls)

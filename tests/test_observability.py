@@ -46,7 +46,6 @@ from repro.serving import (
     StageRecorder,
     Trace,
 )
-from repro.serving.observability import stage_span
 from repro.serving.resilience import QUALITY_TOPK
 from repro.utils.timing import (
     ManualClock,
@@ -219,15 +218,13 @@ def test_trace_spans_events_and_coverage():
     assert dump["annotations"] == {"served_mode": "map"}
 
 
-def test_stage_recorder_fans_out_and_null_context():
+def test_stage_recorder_fans_out():
     clock = ManualClock()
     recorder = StageRecorder(clock)
     with recorder.stage("eigh"):
         clock.advance(0.2)
-    with stage_span(recorder, "selection"):
+    with recorder.stage("selection"):
         clock.advance(0.3)
-    with stage_span(None, "ignored"):  # the untraced fast path
-        clock.advance(1.0)
     assert recorder.seconds("eigh") == pytest.approx(0.2)
     left, right = Trace(clock), Trace(clock)
     recorder.extend_trace(left)
@@ -247,7 +244,9 @@ def test_event_log_is_a_bounded_ring():
         log.record("degraded" if index % 2 else "shed", index=index)
     assert len(log) == 4
     stats = log.stats()
-    assert stats == {"capacity": 4, "recorded": 7, "retained": 4, "dropped": 3}
+    assert stats == {
+        "capacity": 4, "recorded": 7, "retained": 4, "dropped": 3, "callback_errors": 0
+    }
     retained = log.snapshot()
     assert [event["index"] for event in retained] == [3, 4, 5, 6]
     assert [event["seq"] for event in retained] == [4, 5, 6, 7]
@@ -423,11 +422,31 @@ def test_fractional_trace_rate_samples_deterministically():
     ]
 
 
+def test_untraced_unprofiled_batch_times_every_engine_stage():
+    """Stage timing is not a tracing feature: at ``trace_rate=0`` and
+    ``profile_hz=0`` one flushed batch still lands every engine stage in
+    ``serving_stage_seconds``."""
+    m = 60
+    config = ServingConfig(workers=0, clock=ManualClock())
+    with ServingRuntime(ItemCatalog(_factors(42, m, 5)), config=config) as rt:
+        futures = rt.submit_many([
+            Request(quality=_quality(42, m), k=3, mode="sample", seed=1),
+            Request(quality=_quality(43, m), k=3, mode="map"),
+        ])
+        rt.flush()
+        assert all(future.result().trace is None for future in futures)
+        family = rt.telemetry().registry.get("serving_stage_seconds")
+        counts = {
+            series["labels"]["stage"]: series["count"]
+            for series in family.snapshot()["series"]
+        }
+    for stage in ("resolve", "dual_build", "eigh", "normalizer", "selection", "emit"):
+        assert counts.get(stage, 0) >= 1, (stage, counts)
+
+
 def test_trace_rate_is_validated():
     with pytest.raises(ValueError, match="trace_rate"):
         ServingConfig(trace_rate=1.5)
-    with pytest.raises(ValueError, match="event_log_capacity"):
-        ServingConfig(event_log_capacity=0)
 
 
 # ----------------------------------------------------------------------

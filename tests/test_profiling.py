@@ -417,15 +417,15 @@ def test_capacity_model_headroom_report_shape():
     model = CapacityModel(workers=1, max_batch=16)
     for size in (8, 16, 16):
         model.observe(size, 0.001 * size, modes={"sample": size - 1, "map": 1})
-    report = model.headroom(
-        uptime_s=10.0, observed_req_per_s=100.0, mode_costs={"sample": 0.002}
-    )
+    report = model.headroom(uptime_s=10.0, observed_req_per_s=100.0)
     assert report.busy_seconds == pytest.approx(0.04)
     assert report.utilization == pytest.approx(0.004)
     assert report.saturation_req_per_s == pytest.approx(1000.0)
     assert report.headroom_fraction == pytest.approx(0.9)
     assert report.batch_size_counts == {8: 1, 16: 2}
-    assert report.per_mode["sample"]["saturation_req_per_s"] == pytest.approx(500.0)
+    # every request cost 0.001 s at its batch's amortization
+    assert report.per_mode["sample"]["cost_s"] == pytest.approx(0.001)
+    assert report.per_mode["sample"]["saturation_req_per_s"] == pytest.approx(1000.0)
     assert report.per_mode["map"]["requests"] == 3
     assert report.per_mode["sample"]["share"] == pytest.approx(37 / 40)
     blob = report.to_dict()

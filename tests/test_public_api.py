@@ -54,7 +54,6 @@ SERVING_API = {
     "SLO",
     "SLOTracker",
     "HealthStatus",
-    "AlertSink",
     "DriftDetector",
     "WindowedStat",
     "HEALTHY",
@@ -140,17 +139,12 @@ def test_request_and_response_shapes():
         "funnel_cache",
         "queue_cap",
         "overload_policy",
-        "publish_retries",
         "publish_backoff",
         "fault_plan",
         "trace_rate",
-        "event_log_capacity",
         "audit_rate",
-        "audit_window",
         "canary_min_audits",
-        "canary_tolerance",
         "drift_window",
-        "drift_threshold",
         "profile_hz",
         "slos",
         "alert_sink",

@@ -49,7 +49,10 @@ from repro.serving import (
     SourceUnavailable,
     TransientError,
 )
-from repro.serving.resilience import QUALITY_TOPK, ModeCostModel, degrade_mode
+from oracles import mode_cost_ewma_reference
+
+from repro.serving.profiling import CapacityModel
+from repro.serving.resilience import QUALITY_TOPK, degrade_mode
 from repro.utils.timing import ManualClock
 from repro.utils.topk import top_k_indices
 
@@ -99,16 +102,48 @@ def test_degrade_mode_walks_the_ladder():
     # rejects explicit-slice rerank) and land on quality top-k.
     sliced = Request(quality=quality, k=2, mode="map", candidates=np.arange(4))
     assert degrade_mode(sliced, 1) == QUALITY_TOPK
+    # One rung from an already-walked mode: the deadline check's step.
+    assert degrade_mode(sample, 1, "map") == "topk-rerank"
+    assert degrade_mode(sample, 1, "topk-rerank") == QUALITY_TOPK
+    assert degrade_mode(sliced, 1, "sample") == "map"
+    assert degrade_mode(sliced, 1, "map") == QUALITY_TOPK
     assert DEGRADATION_LADDER == ("sample", "map", "topk-rerank", QUALITY_TOPK)
 
 
 def test_cost_model_ewma_and_cold_estimates():
-    model = ModeCostModel(decay=0.5)
+    model = CapacityModel(decay=0.5)
     assert model.estimate("sample") == 0.0  # cold model never degrades
-    model.observe("sample", 1.0)
-    model.observe("sample", 0.0)
+    model.observe(1, 1.0, {"sample": 1})
+    model.observe(1, 0.0, {"sample": 1})
     assert model.estimate("sample") == pytest.approx(0.5)
-    assert model.snapshot() == {"sample": pytest.approx(0.5)}
+    assert model.mode_costs() == {"sample": pytest.approx(0.5)}
+    with pytest.raises(ValueError, match="decay"):
+        CapacityModel(decay=0.0)
+
+
+def test_cost_model_estimates_equal_the_per_request_ewma():
+    """The capacity model's per-mode estimates are the EWMA applied once
+    per request at the batch's per-request share — bit for bit, so no
+    deadline decision moves."""
+    rng = np.random.default_rng(29)
+    modes = ("sample", "map", "topk-rerank")
+    batches = []
+    for _ in range(200):
+        mix = [modes[i] for i in rng.integers(0, 3, size=int(rng.integers(1, 33)))]
+        batches.append((mix, float(rng.exponential(0.02))))
+    shed = [([QUALITY_TOPK] * int(rng.integers(1, 5)), float(rng.exponential(1e-4)))
+            for _ in range(20)]
+    model = CapacityModel()
+    for mix, elapsed in batches:
+        model.observe(len(mix), elapsed, {mode: mix.count(mode) for mode in set(mix)})
+    for mix, elapsed in shed:
+        model.observe(len(mix), elapsed, {QUALITY_TOPK: len(mix)}, fit=False)
+    reference = mode_cost_ewma_reference(batches + shed)
+    assert model.mode_costs() == reference
+    for mode in (*modes, QUALITY_TOPK):
+        assert model.estimate(mode) == reference[mode]
+    # shed batches feed the estimates only, never the batch-cost fit
+    assert model.stats()["batches"] == len(batches)
 
 
 # ----------------------------------------------------------------------
@@ -561,8 +596,7 @@ def test_publish_retries_transient_failures_with_backoff():
     plan = FaultPlan(clock=clock)
     plan.fail_publish(times=2)
     config = ServingConfig(
-        workers=0, clock=clock, fault_plan=plan,
-        publish_retries=2, publish_backoff=0.01,
+        workers=0, clock=clock, fault_plan=plan, publish_backoff=0.01,
     )
     with ServingRuntime(ItemCatalog(factors), config=config) as rt:
         version = rt.publish(_factors(14, 40, 5))

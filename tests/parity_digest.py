@@ -193,7 +193,8 @@ class _Digest:
 
 
 def _serve_paths(digest: _Digest, name: str, server, shapes, factors, pool_of=None) -> None:
-    factors_of = lambda version: factors  # noqa: E731 - one version here
+    def factors_of(version: int) -> np.ndarray:
+        return factors  # one catalog version on these paths
     for shape, requests in shapes.items():
         digest.record(f"{name}/{shape}", requests, server.serve(requests), factors_of, pool_of)
     mixed = shapes["mixed"]

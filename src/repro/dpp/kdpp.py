@@ -36,6 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..autodiff import Tensor, functional as F
+from ..utils import lanes
 from .esp import (
     batched_differentiable_log_esp,
     differentiable_log_esp,
@@ -594,7 +595,9 @@ def _block_grams(
     ``_BLOCK``-item block ``n`` of ``G_b = Diag(q_b) V W_b``, as a
     ``(B, ⌈M/_BLOCK⌉, p, p)`` array.  Each item tile is one
     ``(B p, r) @ (r, tile)`` matmul into a buffer of at most
-    ``_LIFT_BYTES`` (one block at least)."""
+    ``_LIFT_BYTES`` (one block at least).  The request rows split into
+    two halves on the two :mod:`~repro.utils.lanes`, each lifting into
+    its own rows of the buffer and writing its own rows of the Grams."""
     batch, ground = quality.shape
     rank, steps = coefficients.shape[1:]
     blocks = -(-ground // _BLOCK)
@@ -602,22 +605,35 @@ def _block_grams(
     tile = max(1, _LIFT_BYTES // (batch * steps * _BLOCK * 8)) * _BLOCK
     buffer = np.empty((batch * steps, min(tile, ground)))
     lift = coefficients.transpose(0, 2, 1).reshape(batch * steps, rank)
-    for start in range(0, ground, tile):
-        stop = min(start + tile, ground)
-        lifted = buffer[:, : stop - start]
-        np.matmul(lift, diversity_factors[start:stop].T, out=lifted)
-        lifted = lifted.reshape(batch, steps, stop - start)
-        lifted *= quality[:, None, start:stop]
-        first = start // _BLOCK
-        full, tail = divmod(stop - start, _BLOCK)
-        head = lifted[:, :, : full * _BLOCK].reshape(batch, steps, full, _BLOCK)
-        head = head.transpose(0, 2, 1, 3)
-        np.matmul(
-            head, head.transpose(0, 1, 3, 2), out=grams[:, first : first + full]
-        )
-        if tail:
-            rest = lifted[:, :, full * _BLOCK :]
-            np.matmul(rest, rest.transpose(0, 2, 1), out=grams[:, first + full])
+
+    def lift_rows(first: int, last: int) -> None:
+        requests, lifted_rows = slice(first, last), slice(first * steps, last * steps)
+        for start in range(0, ground, tile):
+            stop = min(start + tile, ground)
+            lifted = buffer[lifted_rows, : stop - start]
+            np.matmul(lift[lifted_rows], diversity_factors[start:stop].T, out=lifted)
+            lifted = lifted.reshape(last - first, steps, stop - start)
+            lifted *= quality[requests, None, start:stop]
+            first_block = start // _BLOCK
+            full, tail = divmod(stop - start, _BLOCK)
+            head = lifted[:, :, : full * _BLOCK].reshape(
+                last - first, steps, full, _BLOCK
+            )
+            head = head.transpose(0, 2, 1, 3)
+            np.matmul(
+                head,
+                head.transpose(0, 1, 3, 2),
+                out=grams[requests, first_block : first_block + full],
+            )
+            if tail:
+                rest = lifted[:, :, full * _BLOCK :]
+                np.matmul(
+                    rest,
+                    rest.transpose(0, 2, 1),
+                    out=grams[requests, first_block + full],
+                )
+
+    lanes.halves(batch, lift_rows)
     return grams
 
 
@@ -655,7 +671,10 @@ def batched_sample_elementary_shared(
     ``⟨A_b, H_bn⟩`` (one batched matmul), a block by ``cumsum`` over the
     ``⌈M/_BLOCK⌉`` blocks, then the exact masses of that block's items,
     lifted on the fly from their factor rows.  Conditioning on the pick
-    updates ``A_b`` alone.
+    updates ``A_b`` alone.  The lift, the one catalog-scale pass, splits
+    the requests in two halves on the two :mod:`~repro.utils.lanes`
+    (:func:`_block_grams`); every Gram is computed as without the
+    split, so samples do not depend on it.
 
     Each request consumes one uniform per step from its own generator,
     the same stream the per-request sampler uses, and inverts it over

@@ -8,7 +8,7 @@ into a full serving runtime:
 * :class:`~repro.serving.catalog.ItemCatalog` — publisher of immutable
   :class:`~repro.serving.catalog.CatalogSnapshot` factor versions
   (Gram, once-per-version dual spectra, the outer-product table behind
-  one-matmul dual builds for groups of four or more), hot-swapped
+  one-matmul dual builds for two or more rows), hot-swapped
   double-buffered;
 * :class:`~repro.serving.server.KDPPServer` — serves batches of
   :class:`~repro.serving.server.Request` objects (per-request ``k``,

@@ -38,6 +38,7 @@ import numpy as np
 
 from ..dpp.diversity_kernel import DiversityKernelLearner
 from ..dpp.kernels import clip_dual_spectrum
+from ..utils import lanes
 
 __all__ = ["CatalogSnapshot", "ItemCatalog", "VersionedExtensions"]
 
@@ -46,9 +47,13 @@ __all__ = ["CatalogSnapshot", "ItemCatalog", "VersionedExtensions"]
 #: full-catalog rows that need a dual — built from the outer-product
 #: table.  One table matmul reads all ``M r(r+1)/2`` entries whatever
 #: the row count, while a direct ``(V q_b)ᵀ(V q_b)`` reads only ``M r``
-#: per row; at M=2e4, r=32 on one BLAS thread the direct route wins
-#: below four rows and ties at four.
-GRAM_PRODUCTS_MIN_BATCH = 4
+#: per row.  Inside ``KDPPServer.serve`` at M=2e4, r=32, one BLAS thread
+#: per lane, the table route (its matmul split across the two lanes)
+#: takes 5.4-5.7 ms at two rows against 6.3-6.6 ms direct, and wins by
+#: more from three rows on; one row is 2.9 ms direct against 8+ ms.  A
+#: process confined to one CPU runs the table matmul in one lane, where
+#: direct stays ahead up to three rows.
+GRAM_PRODUCTS_MIN_BATCH = 2
 
 #: item rows per tile of the outer-product table fill: a tile's factor
 #: rows and its ``r(r+1)/2``-wide slice of the table (1 MB at r=32) stay
@@ -193,8 +198,9 @@ class CatalogSnapshot(VersionedExtensions):
         table in place: per tile of item rows, ``r`` broadcast multiplies
         ``v_m[i] · v_m[i:]``, one per row of the upper triangle.  The
         build allocates nothing but the table, and each entry is the
-        same single product as ``V[:, rows] * V[:, cols]``.  Raises when
-        the table would exceed ``GRAM_PRODUCTS_MAX_BYTES``.
+        same single product as ``V[:, rows] * V[:, cols]``.  The tiles
+        split in two halves on the two :mod:`~repro.utils.lanes`.
+        Raises when the table would exceed ``GRAM_PRODUCTS_MAX_BYTES``.
         """
         if self._gram_products is None:
             table_bytes = self._gram_products_bytes()
@@ -211,18 +217,25 @@ class CatalogSnapshot(VersionedExtensions):
         return self._gram_products, self._triu
 
     def _fill_gram_products(self) -> np.ndarray:
-        factors, rank = self._factors, self.rank
-        table = np.empty((self.num_items, self._triu[0].shape[0]), dtype=np.float64)
-        for start in range(0, self.num_items, _FILL_TILE_ROWS):
-            block = factors[start : start + _FILL_TILE_ROWS]
-            tile = table[start : start + _FILL_TILE_ROWS]
-            column = 0
-            for i in range(rank):
-                width = rank - i
-                np.multiply(
-                    block[:, i : i + 1], block[:, i:], out=tile[:, column : column + width]
-                )
-                column += width
+        factors, rank, items = self._factors, self.rank, self.num_items
+        table = np.empty((items, self._triu[0].shape[0]), dtype=np.float64)
+
+        def fill(first: int, last: int) -> None:
+            stop = min(last * _FILL_TILE_ROWS, items)
+            for start in range(first * _FILL_TILE_ROWS, stop, _FILL_TILE_ROWS):
+                block = factors[start : start + _FILL_TILE_ROWS]
+                tile = table[start : start + _FILL_TILE_ROWS]
+                column = 0
+                for i in range(rank):
+                    width = rank - i
+                    np.multiply(
+                        block[:, i : i + 1],
+                        block[:, i:],
+                        out=tile[:, column : column + width],
+                    )
+                    column += width
+
+        lanes.halves(-(-items // _FILL_TILE_ROWS), fill)
         return table
 
     def build_duals(self, squared_quality: np.ndarray) -> np.ndarray:
@@ -233,7 +246,11 @@ class CatalogSnapshot(VersionedExtensions):
         engine calls this once per batch, over every full-catalog row
         that needs a dual, whatever its mode, ``k`` or session state.
         At least ``GRAM_PRODUCTS_MIN_BATCH`` rows are one matmul against
-        :meth:`gram_products` (building the table on first use).  Fewer
+        :meth:`gram_products` (building the table on first use), its
+        output columns split in two halves on the two
+        :mod:`~repro.utils.lanes`, each writing its own columns of one
+        result allocated here; every entry is the same length-``M`` dot
+        product as in the unsplit matmul.  Fewer
         rows, and any stack whose table would exceed
         ``GRAM_PRODUCTS_MAX_BYTES``, compute each ``(V q_b)ᵀ(V q_b)``
         directly through one reused ``(M, r)`` buffer, without reading or
@@ -248,7 +265,14 @@ class CatalogSnapshot(VersionedExtensions):
             and self._gram_products_bytes() <= self.GRAM_PRODUCTS_MAX_BYTES
         ):
             table, (rows, cols) = self.gram_products()
-            flat = squared_quality @ table
+            flat = np.empty((batch, table.shape[1]), dtype=np.float64)
+
+            def columns(start: int, stop: int) -> None:
+                np.matmul(
+                    squared_quality, table[:, start:stop], out=flat[:, start:stop]
+                )
+
+            lanes.halves(table.shape[1], columns)
             duals[:, rows, cols] = flat
             duals[:, cols, rows] = flat
             return duals

@@ -117,7 +117,12 @@ class ServingConfig:
         :class:`~repro.serving.observability.EventLog` for the
         :data:`~repro.serving.health.ALERT_KINDS` — each
         ``canary_regression``, ``drift`` and ``slo_burn`` event, as
-        recorded.  A raising callback is swallowed.
+        recorded.  A raising callback is swallowed.  The sink must not
+        block: it runs synchronously on the serving worker, before the
+        futures of the batch that raised the event resolve, so a sink
+        that takes 0.2 s delays that batch's responses by 0.2 s.  Hand
+        slow work (paging, network calls) to a queue or thread of your
+        own.
     """
 
     rerank_pool: int = 100

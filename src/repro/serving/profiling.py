@@ -284,13 +284,10 @@ class CapacityModel:
     resilient layer from its timed window around each engine call.
     """
 
-    def __init__(
-        self, workers: int = 1, max_batch: int = 32, decay: float = 0.3
-    ) -> None:
+    def __init__(self, workers: int = 1, decay: float = 0.3) -> None:
         if not 0.0 < decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {decay}")
         self.workers = max(1, int(workers))
-        self.max_batch = int(max_batch)
         self.decay = float(decay)
         self._lock = threading.Lock()
         self._costs: dict[str, float] = {}

@@ -145,9 +145,7 @@ class ServingRuntime:
         # is the *only* serving-path delta, and the sampler itself is a
         # passive daemon thread (no RNG, no serving lock), keeping
         # profile_hz=0 bit-identical, samples included.
-        self._capacity = CapacityModel(
-            workers=max(1, config.workers), max_batch=config.max_batch
-        )
+        self._capacity = CapacityModel(workers=max(1, config.workers))
         self._stage_registry: StageRegistry | None = None
         self._profiler: SamplingProfiler | None = None
         if config.profile_hz > 0:

@@ -9,8 +9,8 @@ every catalog-sized computation:
 * all full-catalog dual kernels ``C_u = Vᵀ Diag(q_u²) V`` of a batch —
   every mode, ``k`` and session state — come from one
   :meth:`CatalogSnapshot.build_duals` call: a ``(B, M)``-by-table matmul
-  for four or more rows, a direct ``(V q_u)ᵀ(V q_u)`` per request below
-  that;
+  for two or more rows, split across the two :mod:`~repro.utils.lanes`,
+  a direct ``(V q_u)ᵀ(V q_u)`` for a single request;
 * one stacked ``eigh`` factorizes every full-catalog request's dual;
 * one :func:`~repro.dpp.esp.batched_log_esp` produces every Eq. 6
   normalizer, heterogeneous ``k`` included;

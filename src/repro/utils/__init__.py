@@ -1,5 +1,7 @@
 """Shared utilities: deterministic RNG handling, top-k selection, timing,
-and the zero-dependency metrics primitives behind serving telemetry."""
+the zero-dependency metrics primitives behind serving telemetry, and the
+two lanes (:mod:`repro.utils.lanes`) the catalog-scale kernels split
+across."""
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .rng import ensure_rng, seeded_children, spawn

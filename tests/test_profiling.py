@@ -387,7 +387,7 @@ def test_footprint_folds_in_funnel_cache_pools():
 # CapacityModel
 # ----------------------------------------------------------------------
 def test_capacity_model_recovers_affine_batch_cost():
-    model = CapacityModel(workers=2, max_batch=32)
+    model = CapacityModel(workers=2)
     fixed, per_request = 0.01, 0.002
     for size in range(1, 33):
         model.observe(size, fixed + per_request * size, modes={"sample": size})
@@ -414,7 +414,7 @@ def test_capacity_model_degenerate_histories_fall_back_to_mean_rate():
 
 
 def test_capacity_model_headroom_report_shape():
-    model = CapacityModel(workers=1, max_batch=16)
+    model = CapacityModel(workers=1)
     for size in (8, 16, 16):
         model.observe(size, 0.001 * size, modes={"sample": size - 1, "map": 1})
     report = model.headroom(uptime_s=10.0, observed_req_per_s=100.0)
